@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gsm_core::{BitPrefixHierarchy, Engine, FrequencyEstimator, QuantileEstimator};
 use gsm_cpu::{CpuCostModel, Machine};
-use gsm_dsms::StreamEngine;
+use gsm_dsms::{EngineBuilder, QueryRequest};
 use gsm_gpu::Device;
 use gsm_sort::select::{cpu_quickselect, gpu_kth_largest, load_values_as_depth};
 use gsm_stream::{UniformGen, ZipfGen};
@@ -79,12 +79,15 @@ fn bench_dsms_shared_pipeline(c: &mut Criterion) {
     group.throughput(Throughput::Elements(n as u64));
     group.bench_function("host_engine", |b| {
         b.iter(|| {
-            let mut eng = StreamEngine::new(Engine::Host).with_n_hint(n as u64);
+            let mut eng = EngineBuilder::new(Engine::Host)
+                .n_hint(n as u64)
+                .build()
+                .expect("valid configuration");
             let q = eng.register_quantile(0.01);
             let _ = eng.register_frequency(0.001);
             let _ = eng.register_hhh(0.001, BitPrefixHierarchy::new(vec![6]));
-            eng.push_all(data.iter().copied());
-            eng.quantile(q, 0.5)
+            eng.push_batch(&data);
+            eng.request(q, QueryRequest::Quantile { phi: 0.5 })
         });
     });
     group.finish();

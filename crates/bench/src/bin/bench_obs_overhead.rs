@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use gsm_bench::Args;
 use gsm_core::Engine;
-use gsm_dsms::StreamEngine;
+use gsm_dsms::{EngineBuilder, StreamEngine};
 use gsm_obs::{Recorder, TraceCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,9 +61,11 @@ fn stream(n: usize, seed: u64) -> Vec<f32> {
 }
 
 fn build(n: u64, rec: Recorder) -> StreamEngine {
-    let mut eng = StreamEngine::new(Engine::Host)
-        .with_n_hint(n)
-        .with_recorder(rec);
+    let mut eng = EngineBuilder::new(Engine::Host)
+        .n_hint(n)
+        .recorder(rec)
+        .build()
+        .expect("valid configuration");
     let _ = eng.register_quantile(0.01);
     let _ = eng.register_frequency(0.001);
     eng
@@ -76,9 +78,7 @@ fn ingest_once(data: &[f32], rec: &Recorder, chunk: usize, trace_chunks: bool) -
     let start = Instant::now();
     for piece in data.chunks(chunk) {
         let _span = trace_chunks.then(|| rec.span_traced("bench_ingest_chunk", TraceCtx::fresh()));
-        for &v in piece {
-            eng.push(v);
-        }
+        eng.push_batch(piece);
     }
     eng.flush();
     let secs = start.elapsed().as_secs_f64();

@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use gsm_bench::{envelope_json, write_result, Args, Table};
 use gsm_core::Engine;
-use gsm_dsms::{DurableOptions, StreamEngine};
+use gsm_dsms::{DurableOptions, EngineBuilder, QueryRequest, StreamEngine};
 use gsm_durable::{CheckpointPolicy, FsyncPolicy};
 use gsm_obs::Recorder;
 
@@ -69,12 +69,13 @@ fn build(
     rec: Recorder,
     n_hint: u64,
 ) -> (StreamEngine, gsm_dsms::QueryId, gsm_dsms::QueryId) {
-    let mut eng = StreamEngine::new(Engine::Host)
-        .with_n_hint(n_hint)
-        .with_recorder(rec);
+    let mut builder = EngineBuilder::new(Engine::Host)
+        .n_hint(n_hint)
+        .recorder(rec);
     if let Some(opts) = durable {
-        eng = eng.with_durability(opts).expect("scratch durable dir");
+        builder = builder.durability(opts);
     }
+    let mut eng = builder.build().expect("scratch durable dir");
     let q = eng.register_quantile(0.02);
     let f = eng.register_frequency(0.005);
     (eng, q, f)
@@ -108,7 +109,7 @@ fn main() {
     // and the plain run chunks windows identically).
     let (mut plain, q, f) = build(None, Recorder::disabled(), elements as u64);
     let t = Instant::now();
-    plain.push_all(data.iter().copied());
+    plain.push_batch(&data);
     let plain_secs = t.elapsed().as_secs_f64();
 
     // WAL, no fsync: the log-write cost alone.
@@ -120,7 +121,7 @@ fn main() {
         elements as u64,
     );
     let t = Instant::now();
-    wal_off.push_all(data.iter().copied());
+    wal_off.push_batch(&data);
     let off_secs = t.elapsed().as_secs_f64();
     drop(wal_off);
 
@@ -134,7 +135,7 @@ fn main() {
         elements as u64,
     );
     let t = Instant::now();
-    wal_fsync.push_all(data.iter().copied());
+    wal_fsync.push_batch(&data);
     let fsync_secs = t.elapsed().as_secs_f64();
     drop(wal_fsync); // the kill
 
@@ -165,9 +166,12 @@ fn main() {
     // so the plain engine's handles address the recovered engine too.
     let mut byte_identical = true;
     for phi in [0.01, 0.25, 0.5, 0.75, 0.99] {
-        byte_identical &= recovered.quantile(q, phi).to_bits() == plain.quantile(q, phi).to_bits();
+        let req = QueryRequest::Quantile { phi };
+        byte_identical &= recovered.request(q, req).into_quantile().to_bits()
+            == plain.request(q, req).into_quantile().to_bits();
     }
-    byte_identical &= recovered.heavy_hitters(f, 0.01) == plain.heavy_hitters(f, 0.01);
+    let req = QueryRequest::HeavyHitters { support: 0.01 };
+    byte_identical &= recovered.request(f, req) == plain.request(f, req);
 
     let report = Report {
         elements: elements as u64,

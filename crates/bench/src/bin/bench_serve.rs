@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use gsm_bench::Args;
 use gsm_core::Engine;
-use gsm_dsms::{QueryAnswer, QueryId, StreamEngine};
+use gsm_dsms::{EngineBuilder, QueryId, QueryRequest, StreamEngine};
 use gsm_obs::{Log2Histogram, Recorder, SloSpec};
 use gsm_serve::{Client, QueryServer, Reply, Request, ServeConfig};
 use rand::rngs::StdRng;
@@ -125,10 +125,12 @@ struct Queries {
 
 /// Builds the three-query engine every phase uses.
 fn build_engine(n: u64, shards: usize, publish_every: u64) -> (StreamEngine, Queries) {
-    let mut eng = StreamEngine::new(Engine::ParallelHost)
-        .with_n_hint(n)
-        .with_shards(shards)
-        .with_publish_every(publish_every);
+    let mut eng = EngineBuilder::new(Engine::ParallelHost)
+        .n_hint(n)
+        .shards(shards)
+        .publish_every(publish_every)
+        .build()
+        .expect("valid configuration");
     let quantile = eng.register_quantile(0.01);
     let frequency = eng.register_frequency(0.001);
     let sliding = eng.register_sliding_quantile(0.05, 1 << 14);
@@ -143,15 +145,13 @@ fn build_engine(n: u64, shards: usize, publish_every: u64) -> (StreamEngine, Que
 }
 
 /// Phase A: ingest with no server attached (no registry, so the
-/// publication check in push() is a single untaken branch).
+/// publication check in push_batch() is a single untaken branch).
 fn ingest_off(data: &[f32], shards: usize, publish_every: u64, repeats: usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..repeats.max(1) {
         let (mut eng, _ids) = build_engine(data.len() as u64, shards, publish_every);
         let start = Instant::now();
-        for &v in data {
-            eng.push(v);
-        }
+        eng.push_batch(data);
         eng.flush();
         best = best.min(start.elapsed().as_secs_f64());
     }
@@ -244,9 +244,7 @@ fn ingest_on(
         .collect();
 
     let start = Instant::now();
-    for &v in data {
-        eng.push(v);
-    }
+    eng.push_batch(data);
     let ingest_secs = start.elapsed().as_secs_f64();
 
     stop.store(true, Ordering::Release);
@@ -262,7 +260,7 @@ fn ingest_on(
     eng.flush();
     eng.publish_now();
     let probe = server.client();
-    let direct = QueryAnswer::Quantile(eng.quantile(ids.quantile, 0.5));
+    let direct = eng.request(ids.quantile, QueryRequest::Quantile { phi: 0.5 });
     match probe.call(Request::Quantile {
         query: ids.quantile.index(),
         phi: 0.5,

@@ -15,11 +15,14 @@
 
 use gsm_bench::{human_n, Args, Table};
 use gsm_core::{BitPrefixHierarchy, Engine};
-use gsm_dsms::{run_at_rate, StreamEngine};
+use gsm_dsms::{run_at_rate, EngineBuilder, StreamEngine};
 use gsm_stream::UniformGen;
 
 fn make_engine(engine: Engine, n: usize) -> StreamEngine {
-    let mut eng = StreamEngine::new(engine).with_n_hint(n as u64);
+    let mut eng = EngineBuilder::new(engine)
+        .n_hint(n as u64)
+        .build()
+        .expect("valid configuration");
     let _ = eng.register_quantile(0.001);
     let _ = eng.register_frequency(1.0 / 16_384.0);
     let _ = eng.register_hhh(1.0 / 16_384.0, BitPrefixHierarchy::new(vec![4, 8]));
@@ -42,7 +45,7 @@ fn main() {
     let mut capacities = Vec::new();
     for engine in [Engine::GpuSim, Engine::CpuSim] {
         let mut probe = make_engine(engine, n);
-        probe.push_all(data.iter().copied());
+        probe.push_batch(&data);
         probe.flush();
         capacities.push((engine, probe.service_rate()));
     }

@@ -26,7 +26,7 @@
 
 use gsm_bench::{envelope_json, write_result, Args, RESULT_SCHEMA};
 use gsm_core::{Engine, TimeBreakdown, WindowedPipeline};
-use gsm_dsms::StreamEngine;
+use gsm_dsms::{EngineBuilder, QueryRequest};
 use gsm_obs::Recorder;
 use gsm_sketch::LossyCounting;
 use rand::rngs::StdRng;
@@ -90,16 +90,23 @@ fn main() {
     // sink; two shards so the exported series include per-shard labels
     // (`shard="0"` / `shard="1"`), plus a snapshot publish so the epoch
     // gauge and the flight recorder's seal/publish events are live.
-    let mut eng = StreamEngine::new(Engine::Host)
-        .with_n_hint(elements as u64)
-        .with_shards(2)
-        .with_recorder(rec.clone());
+    let mut eng = EngineBuilder::new(Engine::Host)
+        .n_hint(elements as u64)
+        .shards(2)
+        .recorder(rec.clone())
+        .build()
+        .expect("valid configuration");
     let q = eng.register_quantile(0.02);
     let f = eng.register_frequency(0.005);
     let registry = eng.serve();
-    eng.push_all(data.iter().copied());
-    let median = eng.quantile(q, 0.5);
-    let hot = eng.heavy_hitters(f, 0.01).len();
+    eng.push_batch(&data);
+    let median = eng
+        .request(q, QueryRequest::Quantile { phi: 0.5 })
+        .into_quantile();
+    let hot = eng
+        .request(f, QueryRequest::HeavyHitters { support: 0.01 })
+        .into_heavy_hitters()
+        .len();
     eng.publish_now();
     accumulate(&mut ledger, eng.breakdown());
     println!(

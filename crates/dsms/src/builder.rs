@@ -1,29 +1,19 @@
 //! Validated construction of [`StreamEngine`]s.
 //!
-//! The engine grew its configuration one chained `with_*` method at a
-//! time, and the chain has accumulated foot-guns: `with_shards(0)` and
-//! `with_publish_every(0)` panic at the call site, `with_durability`
-//! forces a mid-chain `?`, and every ordering constraint ("before pushing
-//! stream data") is enforced by asserts scattered across the methods.
-//! [`EngineBuilder`] consolidates the chain behind one front door that
-//! validates the whole configuration at [`EngineBuilder::build`] time and
-//! reports problems as a typed [`BuildError`] instead of a panic. The
-//! `with_*` methods remain — they are the thin wrappers the builder
-//! delegates to, so no existing caller breaks.
-//!
-//! Field application order is canonical and independent of setter call
-//! order: hints and observers first, then sharding, then serving cadence,
-//! then durability last (so the base checkpoint written when a durable
-//! engine seals reflects the full configuration). This removes the
-//! legacy chain's silent ordering hazards — e.g. attaching durability
-//! before widening the shard count.
+//! [`EngineBuilder`] is the only way to make a fresh engine. Every
+//! setting is taken before the engine exists, so "configure before the
+//! stream starts" is enforced by the type rather than by runtime asserts.
+//! Setter order is irrelevant: the whole configuration is validated at
+//! [`EngineBuilder::build`], problems are a typed [`BuildError`] instead
+//! of a panic, and the one side effect — opening the durable directory —
+//! happens last, after every validation has passed.
 
 use std::fmt;
 
 use gsm_core::Engine;
 use gsm_obs::Recorder;
 
-use crate::durable::DurableOptions;
+use crate::durable::{DurableOptions, DurableState};
 use crate::engine::{StreamEngine, WindowTap};
 
 /// Why [`EngineBuilder::build`] rejected a configuration.
@@ -65,7 +55,7 @@ impl std::error::Error for BuildError {
 ///
 /// ```
 /// use gsm_core::Engine;
-/// use gsm_dsms::EngineBuilder;
+/// use gsm_dsms::{EngineBuilder, QueryRequest};
 ///
 /// let mut eng = EngineBuilder::new(Engine::Host)
 ///     .n_hint(10_000)
@@ -73,29 +63,37 @@ impl std::error::Error for BuildError {
 ///     .build()
 ///     .expect("valid configuration");
 /// let q = eng.register_quantile(0.02);
-/// eng.push_all((0..10_000).map(|i| (i % 100) as f32));
-/// assert!((40.0..60.0).contains(&eng.quantile(q, 0.5)));
+/// let stream: Vec<f32> = (0..10_000).map(|i| (i % 100) as f32).collect();
+/// eng.push_batch(&stream);
+/// let median = eng.request(q, QueryRequest::Quantile { phi: 0.5 });
+/// assert!((40.0..60.0).contains(&median.into_quantile()));
 /// ```
 pub struct EngineBuilder {
-    engine: Engine,
-    n_hint: Option<u64>,
-    shards: Option<usize>,
-    recorder: Option<Recorder>,
-    tap: Option<WindowTap>,
-    publish_every: Option<u64>,
+    /// The engine under construction; unreachable until [`Self::build`]
+    /// has validated it.
+    eng: StreamEngine,
     durability: Option<DurableOptions>,
 }
 
 impl EngineBuilder {
-    /// Starts a configuration for the given sort backend.
+    /// Starts a configuration for the given sort backend: one shard, no
+    /// observers, not durable.
     pub fn new(engine: Engine) -> Self {
         EngineBuilder {
-            engine,
-            n_hint: None,
-            shards: None,
-            recorder: None,
-            tap: None,
-            publish_every: None,
+            eng: StreamEngine {
+                engine,
+                n_hint: 100_000_000,
+                shards: 1,
+                specs: Vec::new(),
+                pipeline: None,
+                count: 0,
+                obs: Recorder::disabled(),
+                tap: None,
+                registry: None,
+                publish_every: 1,
+                published_windows: 0,
+                dur: None,
+            },
             durability: None,
         }
     }
@@ -103,48 +101,78 @@ impl EngineBuilder {
     /// Hints the expected stream length (affects quantile level budgets).
     /// Default: 10⁸.
     pub fn n_hint(mut self, n: u64) -> Self {
-        self.n_hint = Some(n);
+        self.eng.n_hint = n;
         self
     }
 
-    /// Partitions ingestion across `k` shard pipelines. Default: 1.
+    /// Partitions ingestion across `k` shard pipelines (value-hash routed,
+    /// each with its own sort backend and summaries); queries merge the
+    /// shard summaries on demand ([`gsm_sketch::MergeableSummary`]), with
+    /// merged error ≤ each query's registered ε plus an additive `k − 1`
+    /// on frequency undercounts (surfaced by the summaries' own bounds).
+    /// With `k = 1` — the default — the engine is byte-identical to the
+    /// unsharded pipeline. On [`Engine::ParallelHost`] all shards submit
+    /// to one worker pool, so the thread count stays the configured width.
+    ///
     /// Validated at [`Self::build`]: `k = 0` is [`BuildError::ZeroShards`].
     pub fn shards(mut self, k: usize) -> Self {
-        self.shards = Some(k);
+        self.eng.shards = k;
         self
     }
 
-    /// Installs an observability recorder (see
-    /// [`StreamEngine::with_recorder`]).
+    /// Installs an observability recorder; it propagates into the shared
+    /// pipeline when the engine seals. The engine then emits per-answer
+    /// latency spans (`dsms_answer{kind=...}`), a `dsms_windows_sealed`
+    /// gauge, and the pipeline's per-window spans and phase counters.
     pub fn recorder(mut self, rec: Recorder) -> Self {
-        self.recorder = Some(rec);
+        self.eng.obs = rec;
         self
     }
 
-    /// Installs an audit tap invoked with every sealed window (see
-    /// [`StreamEngine::with_window_tap`]).
+    /// Installs an audit tap invoked with every sealed (sorted) window
+    /// before the query sketches absorb it. Under load shedding the tap
+    /// sees exactly the admitted sub-stream, which is what the degraded
+    /// bounds must be certified against. The tap is observational state: it
+    /// is not serialized by [`StreamEngine::checkpoint`] and a restored
+    /// engine starts without one.
     pub fn window_tap(mut self, tap: WindowTap) -> Self {
-        self.tap = Some(tap);
+        self.eng.tap = Some(tap);
         self
     }
 
-    /// Sets the snapshot publication cadence in sealed windows (default
-    /// one). Validated at [`Self::build`]: `n = 0` is
+    /// Sets the snapshot publication cadence of a serving engine
+    /// ([`StreamEngine::serve`]): a fresh snapshot every `n` newly sealed
+    /// windows (default 1). Raising it amortizes the per-publication
+    /// clone+merge over more ingested data at the cost of reader
+    /// staleness.
+    ///
+    /// Validated at [`Self::build`]: `n = 0` is
     /// [`BuildError::ZeroPublishCadence`].
     pub fn publish_every(mut self, n: u64) -> Self {
-        self.publish_every = Some(n);
+        self.eng.publish_every = n;
         self
     }
 
-    /// Attaches crash-safe durability (see
-    /// [`StreamEngine::with_durability`]). I/O happens at
-    /// [`Self::build`]; failures surface as [`BuildError::Durability`].
+    /// Attaches crash-safe durability (see [`DurableOptions`]): every
+    /// sealed window is appended to a segmented, CRC-checksummed WAL in
+    /// `opts.dir`, and every `CheckpointPolicy::EveryWindows` records the
+    /// engine snapshots its envelope and truncates the log below the
+    /// snapshot's horizon. Reopen the directory after a crash with
+    /// [`StreamEngine::recover_from`].
+    ///
+    /// The directory and log are created at [`Self::build`]; failures
+    /// there — including refusing a directory that already holds WAL
+    /// segments (recover instead of overwriting) — surface as
+    /// [`BuildError::Durability`]. Durability I/O failures *after* build
+    /// (a failed append, fsync, or checkpoint save) panic rather than
+    /// silently degrade the guarantee.
     pub fn durability(mut self, opts: DurableOptions) -> Self {
         self.durability = Some(opts);
         self
     }
 
-    /// Validates the configuration and constructs the engine.
+    /// Validates the configuration and constructs the engine. Nothing is
+    /// created on disk unless every check has passed.
     ///
     /// # Errors
     ///
@@ -152,30 +180,15 @@ impl EngineBuilder {
     /// [`BuildError::Durability`] for I/O failures opening the durable
     /// directory.
     pub fn build(self) -> Result<StreamEngine, BuildError> {
-        if self.shards == Some(0) {
+        let mut eng = self.eng;
+        if eng.shards == 0 {
             return Err(BuildError::ZeroShards);
         }
-        if self.publish_every == Some(0) {
+        if eng.publish_every == 0 {
             return Err(BuildError::ZeroPublishCadence);
         }
-        let mut eng = StreamEngine::new(self.engine);
-        if let Some(n) = self.n_hint {
-            eng = eng.with_n_hint(n);
-        }
-        if let Some(rec) = self.recorder {
-            eng = eng.with_recorder(rec);
-        }
-        if let Some(k) = self.shards {
-            eng = eng.with_shards(k);
-        }
-        if let Some(tap) = self.tap {
-            eng = eng.with_window_tap(tap);
-        }
-        if let Some(n) = self.publish_every {
-            eng = eng.with_publish_every(n);
-        }
         if let Some(opts) = self.durability {
-            eng = eng.with_durability(opts).map_err(BuildError::Durability)?;
+            eng.dur = Some(DurableState::create(opts).map_err(BuildError::Durability)?);
         }
         Ok(eng)
     }
@@ -184,28 +197,6 @@ impl EngineBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builder_matches_the_legacy_chain() {
-        let data: Vec<f32> = (0..4096).map(|i| (i % 97) as f32).collect();
-        let mut built = EngineBuilder::new(Engine::Host)
-            .n_hint(4096)
-            .shards(2)
-            .build()
-            .expect("valid configuration");
-        let mut chained = StreamEngine::new(Engine::Host)
-            .with_n_hint(4096)
-            .with_shards(2);
-        let qb = built.register_quantile(0.02);
-        let qc = chained.register_quantile(0.02);
-        built.push_all(data.iter().copied());
-        chained.push_all(data.iter().copied());
-        assert_eq!(built.checkpoint(), chained.checkpoint());
-        assert_eq!(
-            built.quantile(qb, 0.5).to_bits(),
-            chained.quantile(qc, 0.5).to_bits()
-        );
-    }
 
     #[test]
     fn builder_rejects_zero_shards() {
@@ -235,7 +226,8 @@ mod tests {
                 .build()
                 .expect("fresh directory");
             eng.register_quantile(0.02);
-            eng.push_all((0..2048).map(|i| i as f32));
+            let data: Vec<f32> = (0..2048).map(|i| i as f32).collect();
+            eng.push_batch(&data);
         }
         let Err(err) = EngineBuilder::new(Engine::Host)
             .durability(DurableOptions::new(&dir))

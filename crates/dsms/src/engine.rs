@@ -12,17 +12,16 @@
 
 use std::sync::{Arc, Mutex};
 
-use gsm_core::{BitPrefixHierarchy, Engine, HhhEntry, ShardedPipeline, TimeBreakdown};
-use gsm_durable::{CheckpointStore, Wal};
+use gsm_core::{BitPrefixHierarchy, Engine, ShardedPipeline, TimeBreakdown};
 use gsm_model::SimTime;
 use gsm_obs::Recorder;
-use gsm_sketch::{
-    ExpHistogram, HhhSummary, LossyCounting, MergeableSummary, OpCounter, SinkOps,
-    SlidingFrequency, SlidingQuantile, SummarySink,
-};
+use gsm_sketch::{MergeableSummary, OpCounter, SinkOps, SummarySink};
 
-use crate::durable::{DurableOptions, DurableState, RecoveryReport};
-use crate::snapshot::{EngineSnapshot, QueryKind, SnapshotRegistry};
+use crate::builder::EngineBuilder;
+use crate::checkpoint::{Envelope, SCHEMA};
+use crate::durable::DurableState;
+use crate::query::{QueryAnswer, QueryRequest, QuerySketch, QuerySpec};
+use crate::snapshot::SnapshotRegistry;
 
 /// Handle to a registered continuous query.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -31,265 +30,19 @@ pub struct QueryId(usize);
 impl QueryId {
     /// The query's registration index — stable across
     /// checkpoint/restore, and the identifier wire protocols and
-    /// [`EngineSnapshot`] readers use to name the query without holding a
-    /// `QueryId`.
+    /// [`crate::EngineSnapshot`] readers use to name the query without
+    /// holding a `QueryId`.
     pub fn index(&self) -> usize {
         self.0
     }
 }
 
-/// The answer to a generic [`StreamEngine::query`] call.
-#[derive(Clone, PartialEq, Debug)]
-pub enum QueryAnswer {
-    /// A φ-quantile value.
-    Quantile(f32),
-    /// Heavy hitters at a support threshold.
-    HeavyHitters(Vec<(f32, u64)>),
-    /// Hierarchical heavy hitters at a support threshold.
-    Hhh(Vec<HhhEntry>),
-}
-
-/// A typed continuous-query request: the parameter carries its meaning in
-/// the variant, replacing the untyped `param: f64` overload of
-/// [`StreamEngine::query`] / [`EngineSnapshot::answer`]. Both untyped
-/// forms remain as thin wrappers that map onto this type.
-///
-/// [`EngineSnapshot::answer`]: crate::snapshot::EngineSnapshot::answer
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum QueryRequest {
-    /// Whole-stream φ-quantile.
-    Quantile {
-        /// Quantile fraction in `[0, 1]`.
-        phi: f64,
-    },
-    /// Whole-stream heavy hitters at a support threshold.
-    HeavyHitters {
-        /// Support threshold in `(ε, 1]`.
-        support: f64,
-    },
-    /// Hierarchical heavy hitters at a support threshold.
-    Hhh {
-        /// Support threshold in `(ε, 1]`.
-        support: f64,
-    },
-    /// Sliding-window φ-quantile.
-    SlidingQuantile {
-        /// Quantile fraction in `[0, 1]`.
-        phi: f64,
-    },
-    /// Sliding-window heavy hitters at a support threshold.
-    SlidingFrequency {
-        /// Support threshold in `(ε, 1]`.
-        support: f64,
-    },
-}
-
-impl QueryRequest {
-    /// The query kind this request addresses.
-    pub fn kind(&self) -> QueryKind {
-        match self {
-            QueryRequest::Quantile { .. } => QueryKind::Quantile,
-            QueryRequest::HeavyHitters { .. } => QueryKind::Frequency,
-            QueryRequest::Hhh { .. } => QueryKind::Hhh,
-            QueryRequest::SlidingQuantile { .. } => QueryKind::SlidingQuantile,
-            QueryRequest::SlidingFrequency { .. } => QueryKind::SlidingFrequency,
-        }
-    }
-
-    /// The untyped parameter (φ for quantile kinds, the support otherwise)
-    /// — the bridge back to the legacy `param: f64` interfaces.
-    pub fn param(&self) -> f64 {
-        match *self {
-            QueryRequest::Quantile { phi } | QueryRequest::SlidingQuantile { phi } => phi,
-            QueryRequest::HeavyHitters { support }
-            | QueryRequest::Hhh { support }
-            | QueryRequest::SlidingFrequency { support } => support,
-        }
-    }
-
-    /// The typed form of a legacy `(kind, param)` pair.
-    pub fn from_kind(kind: QueryKind, param: f64) -> Self {
-        match kind {
-            QueryKind::Quantile => QueryRequest::Quantile { phi: param },
-            QueryKind::Frequency => QueryRequest::HeavyHitters { support: param },
-            QueryKind::Hhh => QueryRequest::Hhh { support: param },
-            QueryKind::SlidingQuantile => QueryRequest::SlidingQuantile { phi: param },
-            QueryKind::SlidingFrequency => QueryRequest::SlidingFrequency { support: param },
-        }
-    }
-}
-
-/// A columnar batch of stream values for [`StreamEngine::push_batch`]:
-/// either a column borrowed from the caller (zero-copy) or an owned slab
-/// (e.g. filled by a batch generator and handed off).
-#[derive(Clone, Debug)]
-pub enum ValueBatch<'a> {
-    /// A column borrowed from the caller.
-    Borrowed(&'a [f32]),
-    /// An owned slab.
-    Owned(Vec<f32>),
-}
-
-impl ValueBatch<'_> {
-    /// The batch's values as one contiguous column.
-    pub fn as_slice(&self) -> &[f32] {
-        match self {
-            ValueBatch::Borrowed(s) => s,
-            ValueBatch::Owned(v) => v,
-        }
-    }
-
-    /// Number of values in the batch.
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// Whether the batch holds no values.
-    pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
-    }
-}
-
-impl<'a> From<&'a [f32]> for ValueBatch<'a> {
-    fn from(values: &'a [f32]) -> Self {
-        ValueBatch::Borrowed(values)
-    }
-}
-
-impl<'a> From<&'a Vec<f32>> for ValueBatch<'a> {
-    fn from(values: &'a Vec<f32>) -> Self {
-        ValueBatch::Borrowed(values.as_slice())
-    }
-}
-
-impl From<Vec<f32>> for ValueBatch<'static> {
-    fn from(values: Vec<f32>) -> Self {
-        ValueBatch::Owned(values)
-    }
-}
-
-#[derive(Clone, serde::Serialize, serde::Deserialize)]
-enum QuerySpec {
-    Quantile {
-        eps: f64,
-    },
-    Frequency {
-        eps: f64,
-    },
-    Hhh {
-        eps: f64,
-        hierarchy: BitPrefixHierarchy,
-    },
-    SlidingQuantile {
-        eps: f64,
-        width: usize,
-    },
-    SlidingFrequency {
-        eps: f64,
-        width: usize,
-    },
-}
-
-impl QuerySpec {
-    /// The smallest shared window this query can accept.
-    fn min_window(&self) -> usize {
-        match self {
-            // Quantile sampling works at any window size; 1024 keeps the
-            // sort phase dominant (see gsm-core). Sliding summaries
-            // re-chunk each sorted window into their own block size, so
-            // they are window-size agnostic too.
-            QuerySpec::Quantile { .. }
-            | QuerySpec::SlidingQuantile { .. }
-            | QuerySpec::SlidingFrequency { .. } => 1024,
-            QuerySpec::Frequency { eps } | QuerySpec::Hhh { eps, .. } => {
-                (1.0 / eps).ceil() as usize
-            }
-        }
-    }
-
-    /// The snapshot-side kind tag for this spec.
-    fn kind(&self) -> QueryKind {
-        match self {
-            QuerySpec::Quantile { .. } => QueryKind::Quantile,
-            QuerySpec::Frequency { .. } => QueryKind::Frequency,
-            QuerySpec::Hhh { .. } => QueryKind::Hhh,
-            QuerySpec::SlidingQuantile { .. } => QueryKind::SlidingQuantile,
-            QuerySpec::SlidingFrequency { .. } => QueryKind::SlidingFrequency,
-        }
-    }
-}
-
-#[derive(Clone, serde::Serialize, serde::Deserialize)]
-pub(crate) enum QuerySketch {
-    Quantile(ExpHistogram),
-    Frequency(LossyCounting),
-    Hhh(HhhSummary),
-    SlidingQuantile(SlidingQuantile),
-    SlidingFrequency(SlidingFrequency),
-}
-
-impl QuerySketch {
-    /// Folds another shard's sketch for the *same* query into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sketches answer different query kinds — shard fans are
-    /// built from one spec list, so a mismatch is a construction bug.
-    pub(crate) fn merge_from(&mut self, other: &Self, ops: &mut OpCounter) {
-        match (self, other) {
-            (QuerySketch::Quantile(a), QuerySketch::Quantile(b)) => a.merge_from(b, ops),
-            (QuerySketch::Frequency(a), QuerySketch::Frequency(b)) => a.merge_from(b, ops),
-            (QuerySketch::Hhh(a), QuerySketch::Hhh(b)) => a.merge_from(b, ops),
-            (QuerySketch::SlidingQuantile(a), QuerySketch::SlidingQuantile(b)) => {
-                a.merge_from(b, ops)
-            }
-            (QuerySketch::SlidingFrequency(a), QuerySketch::SlidingFrequency(b)) => {
-                a.merge_from(b, ops)
-            }
-            _ => panic!("cannot merge sketches of different query kinds"),
-        }
-    }
-}
-
-impl SummarySink for QuerySketch {
-    fn push_sorted_window(&mut self, sorted: &[f32]) {
-        match self {
-            QuerySketch::Quantile(q) => q.push_sorted_window(sorted),
-            QuerySketch::Frequency(f) => f.push_sorted_window(sorted),
-            QuerySketch::Hhh(h) => h.push_sorted_window(sorted),
-            // Sliding summaries consume fixed-size blocks, which are
-            // smaller than the shared window; chunks of a sorted run are
-            // themselves sorted, so re-chunking preserves the contract.
-            QuerySketch::SlidingQuantile(s) => {
-                for block in sorted.chunks(s.block_size()) {
-                    s.push_sorted_block(block);
-                }
-            }
-            QuerySketch::SlidingFrequency(s) => {
-                for block in sorted.chunks(s.block_size()) {
-                    s.push_sorted_block(block);
-                }
-            }
-        }
-    }
-
-    fn ops(&self) -> SinkOps {
-        match self {
-            QuerySketch::Quantile(q) => SummarySink::ops(q),
-            QuerySketch::Frequency(f) => SummarySink::ops(f),
-            QuerySketch::Hhh(h) => SummarySink::ops(h),
-            QuerySketch::SlidingQuantile(s) => SummarySink::ops(s),
-            QuerySketch::SlidingFrequency(s) => SummarySink::ops(s),
-        }
-    }
-}
-
 /// An observer of every sealed (sorted) window the shared pipeline absorbs.
 ///
-/// Installed via [`StreamEngine::with_window_tap`]; the verification
-/// harness uses it to collect the *admitted* sub-stream under load
-/// shedding, so the degraded bounds can be certified against an exact
-/// oracle over exactly what the engine saw.
+/// Installed via [`EngineBuilder::window_tap`]; the verification harness
+/// uses it to collect the *admitted* sub-stream under load shedding, so
+/// the degraded bounds can be certified against an exact oracle over
+/// exactly what the engine saw.
 pub type WindowTap = Box<dyn FnMut(&[f32]) + Send>;
 
 /// Broadcast sink: fans every sorted run out to all registered queries'
@@ -299,8 +52,8 @@ pub type WindowTap = Box<dyn FnMut(&[f32]) + Send>;
 /// (behind a mutex — shards seal windows from the ingest thread, so the
 /// lock is uncontended) and merge sketch-by-sketch at query time.
 #[derive(Clone)]
-struct QueryFan {
-    sketches: Vec<QuerySketch>,
+pub(crate) struct QueryFan {
+    pub(crate) sketches: Vec<QuerySketch>,
     /// Audit tap, called on every sorted window before the sketches absorb
     /// it. Not part of the checkpointed state; shared across shard fans.
     tap: Option<Arc<Mutex<WindowTap>>>,
@@ -338,244 +91,62 @@ impl MergeableSummary for QueryFan {
     }
 }
 
-/// The legacy (schema-1) checkpoint: query definitions plus one flat
-/// sketch list — the single-shard engine's serialized state. Still
-/// accepted by [`StreamEngine::restore`], which rebuilds it as one shard.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct Checkpoint {
-    window: usize,
-    count: u64,
-    n_hint: u64,
-    specs: Vec<QuerySpec>,
-    sketches: Vec<QuerySketch>,
-}
-
-/// The versioned multi-shard checkpoint envelope (schema 2).
-///
-/// Device ledgers (simulated time) are *not* checkpointed — they describe
-/// the process, not the stream — so a restored engine's clock starts at
-/// zero while its answers carry the full history. The same split is why
-/// `recorder_enabled` and `window_tap_installed` are carried as explicit
-/// flags rather than payload: both are process-side observers that cannot
-/// be serialized, and the envelope records whether the source engine had
-/// them so a restorer knows observation (not stream state) was dropped.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct CheckpointV2 {
-    /// Envelope schema version; this layout is 2.
-    schema: u32,
-    window: usize,
-    count: u64,
-    n_hint: u64,
-    /// Shard count the engine ran with; restore rebuilds the same layout.
-    shards: usize,
-    /// The routing policy's stable name ([`ShardRouter::name`]); the
-    /// engine always routes by value hash, which is stateless, so no
-    /// router state accompanies it.
-    router: String,
-    /// Whether the source engine had a recorder installed (the recorder
-    /// itself is process state and is not restored).
-    recorder_enabled: bool,
-    /// Whether the source engine had a window tap installed (taps are
-    /// process state; a restored engine explicitly starts without one).
-    window_tap_installed: bool,
-    specs: Vec<QuerySpec>,
-    /// Per-shard sketch lists, indexed `[shard][query]`.
-    shard_sketches: Vec<Vec<QuerySketch>>,
-}
-
-/// The WAL-aware checkpoint envelope (schema 3): the schema-2 layout plus
-/// the WAL horizon — the sequence number of the last log record whose
-/// elements the snapshot already covers. Recovery replays only records
-/// above it. Written by every checkpoint whether or not durability is
-/// enabled (`wal_seq` is 0 without a log), so there is exactly one current
-/// envelope layout.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct CheckpointV3 {
-    /// Envelope schema version; this layout is 3.
-    schema: u32,
-    window: usize,
-    count: u64,
-    n_hint: u64,
-    shards: usize,
-    router: String,
-    recorder_enabled: bool,
-    window_tap_installed: bool,
-    /// Sequence number of the last WAL record covered by this snapshot
-    /// (0 = nothing logged yet, or durability disabled).
-    wal_seq: u64,
-    specs: Vec<QuerySpec>,
-    shard_sketches: Vec<Vec<QuerySketch>>,
-}
-
-/// Envelope schema written by [`StreamEngine::checkpoint`].
-const CHECKPOINT_SCHEMA: u32 = 3;
-
 /// A registry of continuous queries over one input stream, sharing a single
 /// engine-offloaded sorting pipeline.
 ///
+/// Built by [`EngineBuilder`]; fed by [`Self::push_batch`]; asked through
+/// [`Self::request`].
+///
 /// ```
 /// use gsm_core::Engine;
-/// use gsm_dsms::StreamEngine;
+/// use gsm_dsms::{EngineBuilder, QueryRequest};
 ///
-/// let mut eng = StreamEngine::new(Engine::Host).with_n_hint(10_000);
+/// let mut eng = EngineBuilder::new(Engine::Host)
+///     .n_hint(10_000)
+///     .build()
+///     .expect("valid configuration");
 /// let q = eng.register_quantile(0.02);
 /// let f = eng.register_frequency(0.005);
-/// eng.push_all((0..10_000).map(|i| (i % 100) as f32));
-/// assert!((40.0..60.0).contains(&eng.quantile(q, 0.5)));
-/// assert_eq!(eng.heavy_hitters(f, 0.009).len(), 100); // each value is 1%
+/// let stream: Vec<f32> = (0..10_000).map(|i| (i % 100) as f32).collect();
+/// eng.push_batch(&stream);
+/// let median = eng.request(q, QueryRequest::Quantile { phi: 0.5 });
+/// assert!((40.0..60.0).contains(&median.into_quantile()));
+/// let hot = eng.request(f, QueryRequest::HeavyHitters { support: 0.009 });
+/// assert_eq!(hot.into_heavy_hitters().len(), 100); // each value is 1%
 /// ```
 pub struct StreamEngine {
-    engine: Engine,
-    n_hint: u64,
-    shards: usize,
-    specs: Vec<QuerySpec>,
-    pipeline: Option<ShardedPipeline<QueryFan>>,
-    count: u64,
-    obs: Recorder,
+    pub(crate) engine: Engine,
+    pub(crate) n_hint: u64,
+    pub(crate) shards: usize,
+    pub(crate) specs: Vec<QuerySpec>,
+    pub(crate) pipeline: Option<ShardedPipeline<QueryFan>>,
+    pub(crate) count: u64,
+    pub(crate) obs: Recorder,
     /// Audit tap waiting to be installed into the shard fans at seal time.
-    tap: Option<WindowTap>,
+    pub(crate) tap: Option<WindowTap>,
     /// Snapshot mailbox, installed by [`Self::serve`]. `None` means the
     /// engine is not serving and the publication hook is a single branch.
-    registry: Option<Arc<SnapshotRegistry>>,
+    pub(crate) registry: Option<Arc<SnapshotRegistry>>,
     /// Publish a fresh snapshot every this many newly sealed windows.
-    publish_every: u64,
+    pub(crate) publish_every: u64,
     /// Sealed-window count as of the last publication.
-    published_windows: u64,
-    /// WAL + checkpoint store, installed by [`Self::with_durability`].
-    /// `None` means the engine is not durable and the ingest hook is a
-    /// single branch.
-    dur: Option<DurableState>,
+    pub(crate) published_windows: u64,
+    /// WAL + checkpoint store, installed by [`EngineBuilder::durability`]
+    /// or [`Self::recover_from`]. `None` means the engine is not durable
+    /// and the ingest hook is a single branch.
+    pub(crate) dur: Option<DurableState>,
 }
 
 impl StreamEngine {
-    /// Creates an engine with no registered queries.
-    pub fn new(engine: Engine) -> Self {
-        StreamEngine {
-            engine,
-            n_hint: 100_000_000,
-            shards: 1,
-            specs: Vec::new(),
-            pipeline: None,
-            count: 0,
-            obs: Recorder::disabled(),
-            tap: None,
-            registry: None,
-            publish_every: 1,
-            published_windows: 0,
-            dur: None,
-        }
-    }
-
-    /// Starts a validated configuration — the consolidated front door for
-    /// the chained `with_*` constructors (see [`crate::EngineBuilder`]).
-    pub fn builder(engine: Engine) -> crate::EngineBuilder {
-        crate::EngineBuilder::new(engine)
-    }
-
-    /// Hints the expected stream length (affects quantile level budgets).
-    pub fn with_n_hint(mut self, n: u64) -> Self {
-        self.n_hint = n;
-        self
-    }
-
-    /// Partitions ingestion across `k` shard pipelines (value-hash routed,
-    /// each with its own sort backend and summaries); queries merge the
-    /// shard summaries on demand ([`gsm_sketch::MergeableSummary`]), with
-    /// merged error ≤ each query's registered ε plus an additive `k − 1`
-    /// on frequency undercounts (surfaced by the summaries' own bounds).
-    /// With `k = 1` — the default — the engine is byte-identical to the
-    /// unsharded pipeline. On [`Engine::ParallelHost`] all shards submit
-    /// to one worker pool, so the thread count stays the configured width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero or the stream has already started.
-    pub fn with_shards(mut self, k: usize) -> Self {
-        assert!(k >= 1, "shard count must be at least 1");
-        assert!(
-            self.pipeline.is_none(),
-            "set the shard count before pushing stream data"
-        );
-        self.shards = k;
-        self
-    }
-
-    /// The shard count configured via [`StreamEngine::with_shards`].
+    /// The shard count configured via [`EngineBuilder::shards`].
     pub fn shard_count(&self) -> usize {
         self.shards
     }
 
-    /// Installs an observability recorder; it propagates into the shared
-    /// pipeline when the engine seals. The engine then emits per-answer
-    /// latency spans (`dsms_answer{kind=...}`), a `dsms_windows_sealed`
-    /// gauge, and the pipeline's per-window spans and phase counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream has already started (the recorder must be wired
-    /// through the pipeline before any window is submitted).
-    pub fn with_recorder(mut self, rec: Recorder) -> Self {
-        assert!(
-            self.pipeline.is_none(),
-            "install the recorder before pushing stream data"
-        );
-        self.obs = rec;
-        self
-    }
-
     /// The engine's recorder (disabled unless installed via
-    /// [`StreamEngine::with_recorder`]).
+    /// [`EngineBuilder::recorder`]).
     pub fn recorder(&self) -> &Recorder {
         &self.obs
-    }
-
-    /// Installs an audit tap invoked with every sealed (sorted) window
-    /// before the query sketches absorb it. Under load shedding the tap
-    /// sees exactly the admitted sub-stream, which is what the degraded
-    /// bounds must be certified against. The tap is observational state: it
-    /// is not serialized by [`StreamEngine::checkpoint`] and a restored
-    /// engine starts without one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream has already started (the tap must see every
-    /// window from the first).
-    pub fn with_window_tap(mut self, tap: WindowTap) -> Self {
-        assert!(
-            self.pipeline.is_none(),
-            "install the window tap before pushing stream data"
-        );
-        self.tap = Some(tap);
-        self
-    }
-
-    /// Attaches crash-safe durability (see [`DurableOptions`]): every
-    /// sealed window is appended to a segmented, CRC-checksummed WAL in
-    /// `opts.dir`, and every `CheckpointPolicy::EveryWindows` records the
-    /// engine snapshots its envelope and truncates the log below the
-    /// snapshot's horizon. Reopen the directory after a crash with
-    /// [`Self::recover_from`].
-    ///
-    /// Durability I/O failures after this point (a failed append, fsync,
-    /// or checkpoint save) panic rather than silently degrade the
-    /// guarantee.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors from creating the directory or the log —
-    /// including refusing a directory that already holds WAL segments
-    /// (recover instead of overwriting).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream has already started.
-    pub fn with_durability(mut self, opts: DurableOptions) -> std::io::Result<Self> {
-        assert!(
-            self.pipeline.is_none(),
-            "enable durability before pushing stream data"
-        );
-        self.dur = Some(DurableState::create(opts)?);
-        Ok(self)
     }
 
     /// Registers an ε-approximate quantile query.
@@ -647,8 +218,13 @@ impl StreamEngine {
         self.count
     }
 
+    /// The sealed pipeline; every caller seals first.
+    pub(crate) fn sealed(&self) -> &ShardedPipeline<QueryFan> {
+        self.pipeline.as_ref().expect("sealed")
+    }
+
     /// Builds the shared pipeline and sketches. Called automatically by the
-    /// first [`Self::push`].
+    /// first [`Self::push_batch`].
     ///
     /// # Panics
     ///
@@ -657,47 +233,21 @@ impl StreamEngine {
         if self.pipeline.is_some() {
             return;
         }
-        assert!(!self.specs.is_empty(), "register at least one query");
         let window = self
             .specs
             .iter()
             .map(QuerySpec::min_window)
             .max()
-            .expect("non-empty");
-        // Every shard carries the full query set over its partition; the
-        // stream-length hint covers the whole stream, which keeps quantile
-        // level budgets valid for the post-merge summary.
-        let make_fan = |specs: &[QuerySpec], n_hint: u64, tap: &Option<Arc<Mutex<WindowTap>>>| {
-            let sketches = specs
-                .iter()
-                .map(|spec| match spec {
-                    QuerySpec::Quantile { eps } => QuerySketch::Quantile(ExpHistogram::new(
-                        *eps,
-                        window,
-                        n_hint.max(window as u64),
-                    )),
-                    QuerySpec::Frequency { eps } => {
-                        QuerySketch::Frequency(LossyCounting::with_window(*eps, window))
-                    }
-                    QuerySpec::Hhh { eps, hierarchy } => {
-                        QuerySketch::Hhh(HhhSummary::with_window(*eps, window, hierarchy.clone()))
-                    }
-                    QuerySpec::SlidingQuantile { eps, width } => {
-                        QuerySketch::SlidingQuantile(SlidingQuantile::new(*eps, *width))
-                    }
-                    QuerySpec::SlidingFrequency { eps, width } => {
-                        QuerySketch::SlidingFrequency(SlidingFrequency::new(*eps, *width))
-                    }
-                })
-                .collect();
-            QueryFan {
-                sketches,
-                tap: tap.clone(),
-            }
-        };
+            .expect("register at least one query");
         let tap = self.tap.take().map(|t| Arc::new(Mutex::new(t)));
-        let mut pipeline = ShardedPipeline::new(self.engine, window, self.shards, |_| {
-            make_fan(&self.specs, self.n_hint, &tap)
+        // Every shard carries the full query set over its partition.
+        let mut pipeline = ShardedPipeline::new(self.engine, window, self.shards, |_| QueryFan {
+            sketches: self
+                .specs
+                .iter()
+                .map(|spec| spec.sketch(window, self.n_hint))
+                .collect(),
+            tap: tap.clone(),
         });
         if self.obs.is_enabled() {
             pipeline = pipeline.with_recorder(self.obs.clone());
@@ -710,52 +260,39 @@ impl StreamEngine {
             });
         }
         self.pipeline = Some(pipeline);
-        if self.dur.as_ref().is_some_and(|st| st.needs_base_checkpoint) {
-            // The base checkpoint (horizon 0): recovery always finds an
-            // envelope carrying the query set, even if the process dies
-            // before the first periodic checkpoint.
-            self.write_durable_checkpoint();
-        }
-    }
-
-    /// Pushes one stream element into every registered query.
-    ///
-    /// This is the batch-of-one case of [`Self::push_batch`]; a length-1
-    /// batch takes exactly one chunk, so the scalar path's semantics
-    /// (per-element publish checks, durable bookkeeping) are unchanged.
-    pub fn push(&mut self, value: f32) {
-        self.push_batch(&[value][..]);
+        // A durable engine writes its base checkpoint (horizon 0) here, so
+        // recovery always finds an envelope carrying the query set, even
+        // if the process dies before the first periodic checkpoint.
+        // (Recovered engines arrive sealed and never reach this line.)
+        self.write_durable_checkpoint();
     }
 
     /// Pushes a columnar batch of stream elements into every registered
-    /// query.
+    /// query — the engine's only ingest path; a single element is a batch
+    /// of one.
     ///
     /// The batch is split once at global window boundaries instead of
     /// checking per element. Each chunk is routed in one
     /// [`gsm_core::ShardRouter::route_batch`] pass and memcpy'd into the
     /// per-shard window buffers, and WAL/checkpoint bookkeeping runs once
-    /// per chunk. Window-boundary chunking is what makes the batch path
-    /// byte-identical to pushing the same values one at a time: the chunk
-    /// boundary is simultaneously the durable record boundary (the pending
-    /// WAL buffer fills exactly at `count % window == 0`) and, with one
-    /// shard, the seal boundary — so seal sequences, checkpoints, WAL
-    /// bytes, and answers all match the scalar path. With several shards,
-    /// snapshot publication is evaluated at chunk boundaries rather than
-    /// after every element, which can coalesce publications but never
-    /// changes any published answer.
-    pub fn push_batch<'a>(&mut self, batch: impl Into<ValueBatch<'a>>) {
-        let batch = batch.into();
-        let values = batch.as_slice();
+    /// per chunk. Window-boundary chunking is what makes the result
+    /// independent of how the caller partitions the stream into batches:
+    /// the chunk boundary is simultaneously the durable record boundary
+    /// (the pending WAL buffer fills exactly at `count % window == 0`)
+    /// and, with one shard, the seal boundary — so seal sequences,
+    /// checkpoints, WAL bytes, and answers are byte-identical for every
+    /// partition of the same values. With several shards, snapshot
+    /// publication is evaluated at chunk boundaries, so coarser batches
+    /// can coalesce publications but never change any published answer.
+    pub fn push_batch(&mut self, values: &[f32]) {
         if values.is_empty() {
             return;
         }
         self.seal();
-        if self.obs.is_enabled() {
-            self.obs
-                .observe("ingest_batch_elements", values.len() as u64);
-        }
+        self.obs
+            .observe("ingest_batch_elements", values.len() as u64);
         let _span = self.obs.span("ingest_batch");
-        let window = self.pipeline.as_ref().expect("sealed").window() as u64;
+        let window = self.sealed().window() as u64;
         let mut rest = values;
         while !rest.is_empty() {
             // Distance to the next global window boundary; the pending WAL
@@ -766,31 +303,8 @@ impl StreamEngine {
             rest = tail;
             self.count += chunk.len() as u64;
             self.pipeline.as_mut().expect("sealed").push_batch(chunk);
-            if self.dur.is_some() {
-                self.durable_ingest_chunk(chunk);
-            }
-            if self.registry.is_some() {
-                self.maybe_publish();
-            }
-        }
-    }
-
-    /// Pushes every element of an iterator, staging into columnar batches
-    /// internally so iterator sources get the amortized
-    /// [`Self::push_batch`] path.
-    pub fn push_all<I: IntoIterator<Item = f32>>(&mut self, values: I) {
-        /// Staging slab size: a few windows' worth, so routing and window
-        /// fills amortize without holding an unbounded buffer.
-        const STAGE: usize = 8192;
-        let mut values = values.into_iter();
-        let mut stage = Vec::with_capacity(STAGE);
-        loop {
-            stage.clear();
-            stage.extend(values.by_ref().take(STAGE));
-            if stage.is_empty() {
-                break;
-            }
-            self.push_batch(stage.as_slice());
+            self.durable_ingest_chunk(chunk);
+            self.maybe_publish();
         }
     }
 
@@ -804,242 +318,37 @@ impl StreamEngine {
             self.obs
                 .gauge_set("dsms_windows_sealed", pipeline.windows_sorted() as i64);
         }
-        if self.registry.is_some() {
-            self.maybe_publish();
-        }
+        self.maybe_publish();
     }
 
-    /// Turns the engine into a serving source: seals the pipeline, installs
-    /// a [`SnapshotRegistry`], publishes the initial snapshot, and returns
-    /// the registry handle for readers (e.g. `gsm_serve::QueryServer`).
-    /// From here on, every [`Self::with_publish_every`]-th sealed window
-    /// publishes a fresh snapshot. Idempotent — repeated calls return the
-    /// same registry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no queries are registered.
-    pub fn serve(&mut self) -> Arc<SnapshotRegistry> {
-        self.seal();
-        if let Some(reg) = &self.registry {
-            return Arc::clone(reg);
-        }
-        let reg = Arc::new(SnapshotRegistry::new());
-        self.registry = Some(Arc::clone(&reg));
-        self.publish_now();
-        reg
-    }
-
-    /// Sets the publication cadence: a fresh snapshot every `n` newly
-    /// sealed windows (default 1). Raising it amortizes the per-publication
-    /// clone+merge over more ingested data at the cost of reader staleness.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn with_publish_every(mut self, n: u64) -> Self {
-        assert!(n >= 1, "publication cadence must be at least 1 window");
-        self.publish_every = n;
-        self
-    }
-
-    /// Publishes a snapshot immediately if serving (no-op otherwise).
-    /// Never flushes: the snapshot covers sealed windows only, so
-    /// publication cannot move window boundaries or change any answer.
-    pub fn publish_now(&mut self) {
-        let Some(registry) = self.registry.clone() else {
-            return;
-        };
-        let snap = self.build_snapshot();
-        let epoch = registry.publish(snap);
-        self.published_windows = self.pipeline.as_ref().expect("sealed").windows_sorted();
-        if self.obs.is_enabled() {
-            self.obs.count("dsms_snapshots_published", 1);
-            self.obs.gauge_set("dsms_snapshot_epoch", epoch as i64);
-            self.obs.record_event(gsm_obs::EngineEvent::Publish {
-                epoch,
-                windows_sealed: self.published_windows,
-            });
-        }
-    }
-
-    /// The publication hook: publish when enough windows sealed since the
-    /// last snapshot. One branch plus a per-shard counter read — the cost
-    /// ingestion pays per element while serving.
-    fn maybe_publish(&mut self) {
-        let sealed = self.pipeline.as_ref().expect("sealed").windows_sorted();
-        if sealed >= self.published_windows + self.publish_every {
-            self.publish_now();
-        }
-    }
-
-    /// Clones + merges the absorbed summary state into an immutable
-    /// snapshot. Shard 0 is cloned and the remaining shards fold in
-    /// sketch-by-sketch — the same merge order as [`Self::answer`]'s
-    /// `merged_sink`, so snapshot answers are byte-identical to direct
-    /// answers over the same sealed windows. Merge work is charged to a
-    /// local counter (surfaced as `dsms_snapshot_merge_ops`), not the
-    /// pipeline's merge ledger, which continues to meter query-time merges
-    /// only.
-    fn build_snapshot(&self) -> EngineSnapshot {
-        let pipeline = self.pipeline.as_ref().expect("sealed");
-        let mut sketches = pipeline.shard(0).sink().sketches.clone();
-        if pipeline.shard_count() > 1 {
-            let mut ops = OpCounter::default();
-            for shard in &pipeline.shards()[1..] {
-                for (mine, theirs) in sketches.iter_mut().zip(&shard.sink().sketches) {
-                    mine.merge_from(theirs, &mut ops);
-                }
-            }
-            if self.obs.is_enabled() {
-                self.obs.count("dsms_snapshot_merge_ops", ops.total());
-                // Cross-shard merges widen the frequency undercount bound
-                // relative to a single-shard run (DESIGN §10) — worth a
-                // flight-recorder mark every time it happens.
-                self.obs
-                    .record_event(gsm_obs::EngineEvent::MergeBoundWidened {
-                        queries: sketches.len(),
-                        shards: pipeline.shard_count(),
-                    });
-            }
-        }
-        EngineSnapshot {
-            epoch: 0, // assigned by the registry at publication
-            pushed: self.count,
-            absorbed: self.count - pipeline.unabsorbed(),
-            window: pipeline.window(),
-            windows_sealed: pipeline.windows_sorted(),
-            kinds: self.specs.iter().map(QuerySpec::kind).collect(),
-            sketches,
-        }
-    }
-
-    /// Answers query `id` by reading its (possibly merged) sketch.
+    /// Answers a typed [`QueryRequest`] against the live engine — the
+    /// engine's only query path. Flushes first, then reads the query's
+    /// (possibly merged) sketch through the same dispatch a published
+    /// [`crate::EngineSnapshot`] uses.
     ///
     /// With one shard the sole fan is borrowed in place — no clone, no
     /// merge, byte-identical to the unsharded engine. With `k > 1` the
     /// shard fans merge into a transient answer fan; the merge work lands
     /// in the sharded pipeline's merge ledger, never the ingest ledgers.
-    fn answer<R>(&mut self, id: QueryId, read: impl FnOnce(&QuerySketch) -> R) -> R {
+    /// The call is timed as a `dsms_answer{kind=...}` span labelled with
+    /// the request's kind.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request variant does not match the query's kind, if
+    /// `id` is unknown, or (in the summary) on out-of-range parameters.
+    pub fn request(&mut self, id: QueryId, req: QueryRequest) -> QueryAnswer {
+        let _span = self
+            .obs
+            .span_labeled("dsms_answer", ("kind", req.kind().name()));
         self.flush();
         let pipeline = self.pipeline.as_mut().expect("sealed");
-        if pipeline.shard_count() == 1 {
-            read(&pipeline.shard(0).sink().sketches[id.0])
+        let answer = if pipeline.shard_count() == 1 {
+            pipeline.shard(0).sink().sketches[id.0].answer(req)
         } else {
-            let merged = pipeline.merged_sink();
-            read(&merged.sketches[id.0])
-        }
-    }
-
-    /// Answers a quantile query. Flushes first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a quantile query.
-    pub fn quantile(&mut self, id: QueryId, phi: f64) -> f32 {
-        let _span = self.obs.span_labeled("dsms_answer", ("kind", "quantile"));
-        self.answer(id, |sketch| match sketch {
-            QuerySketch::Quantile(q) => q.query(phi),
-            _ => panic!("query {id:?} is not a quantile query"),
-        })
-    }
-
-    /// Answers a heavy-hitters query at support `s`. Flushes first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a frequency query.
-    pub fn heavy_hitters(&mut self, id: QueryId, s: f64) -> Vec<(f32, u64)> {
-        let _span = self.obs.span_labeled("dsms_answer", ("kind", "frequency"));
-        self.answer(id, |sketch| match sketch {
-            QuerySketch::Frequency(f) => f.heavy_hitters(s),
-            _ => panic!("query {id:?} is not a frequency query"),
-        })
-    }
-
-    /// Answers a hierarchical heavy-hitters query at support `s`. Flushes
-    /// first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not an HHH query.
-    pub fn hhh(&mut self, id: QueryId, s: f64) -> Vec<HhhEntry> {
-        let _span = self.obs.span_labeled("dsms_answer", ("kind", "hhh"));
-        self.answer(id, |sketch| match sketch {
-            QuerySketch::Hhh(h) => h.query(s),
-            _ => panic!("query {id:?} is not a hierarchical query"),
-        })
-    }
-
-    /// Answers a sliding-window quantile query. Flushes first. Uses the
-    /// frozen query form, so the answer is byte-identical to the same
-    /// query against a published [`EngineSnapshot`] of the same state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a sliding-quantile query.
-    pub fn sliding_quantile(&mut self, id: QueryId, phi: f64) -> f32 {
-        let _span = self
-            .obs
-            .span_labeled("dsms_answer", ("kind", "sliding_quantile"));
-        self.answer(id, |sketch| match sketch {
-            QuerySketch::SlidingQuantile(s) => s.query_frozen(phi),
-            _ => panic!("query {id:?} is not a sliding-quantile query"),
-        })
-    }
-
-    /// Answers a sliding-window heavy-hitters query at support `s`.
-    /// Flushes first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a sliding-frequency query.
-    pub fn sliding_heavy_hitters(&mut self, id: QueryId, s: f64) -> Vec<(f32, u64)> {
-        let _span = self
-            .obs
-            .span_labeled("dsms_answer", ("kind", "sliding_frequency"));
-        self.answer(id, |sketch| match sketch {
-            QuerySketch::SlidingFrequency(f) => f.heavy_hitters(s),
-            _ => panic!("query {id:?} is not a sliding-frequency query"),
-        })
-    }
-
-    /// Answers a typed [`QueryRequest`] against the live engine. The
-    /// request's variant must match the query's registered kind.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request variant does not match the query's kind, or
-    /// if `id` is unknown.
-    pub fn request(&mut self, id: QueryId, req: QueryRequest) -> QueryAnswer {
-        let _span = self.obs.span_labeled("dsms_answer", ("kind", "generic"));
-        self.answer(id, |sketch| match (req, sketch) {
-            (QueryRequest::Quantile { phi }, QuerySketch::Quantile(q)) => {
-                QueryAnswer::Quantile(q.query(phi))
-            }
-            (QueryRequest::HeavyHitters { support }, QuerySketch::Frequency(f)) => {
-                QueryAnswer::HeavyHitters(f.heavy_hitters(support))
-            }
-            (QueryRequest::Hhh { support }, QuerySketch::Hhh(h)) => {
-                QueryAnswer::Hhh(h.query(support))
-            }
-            (QueryRequest::SlidingQuantile { phi }, QuerySketch::SlidingQuantile(s)) => {
-                QueryAnswer::Quantile(s.query_frozen(phi))
-            }
-            (QueryRequest::SlidingFrequency { support }, QuerySketch::SlidingFrequency(f)) => {
-                QueryAnswer::HeavyHitters(f.heavy_hitters(support))
-            }
-            (req, _) => panic!("query {id:?} does not answer {:?} requests", req.kind()),
-        })
-    }
-
-    /// Generic query interface: `param` is φ for quantile queries and the
-    /// support `s` otherwise. A thin wrapper that maps the untyped pair
-    /// onto the registered kind's [`QueryRequest`] variant and delegates
-    /// to [`Self::request`].
-    pub fn query(&mut self, id: QueryId, param: f64) -> QueryAnswer {
-        let kind = self.specs[id.0].kind();
-        self.request(id, QueryRequest::from_kind(kind, param))
+            pipeline.merged_sink().sketches[id.0].answer(req)
+        };
+        answer.unwrap_or_else(|e| panic!("query {id:?}: {e}"))
     }
 
     /// Where the simulated time went, across the shared sort and every
@@ -1057,333 +366,6 @@ impl StreamEngine {
         self.breakdown().total()
     }
 
-    /// Serializes the engine's query state to JSON (flushes first) as a
-    /// schema-3 multi-shard envelope: one sketch list per shard, plus the
-    /// shard layout, routing policy, the WAL horizon (0 when durability is
-    /// off), and explicit flags for the two process-side observers
-    /// (recorder, window tap) that checkpoints cannot carry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no queries are registered.
-    pub fn checkpoint(&mut self) -> String {
-        let wal_seq = self.dur.as_ref().map_or(0, |st| st.next_seq - 1);
-        self.checkpoint_doc(wal_seq)
-    }
-
-    /// Builds the envelope at an explicit WAL horizon. Flushes first, so
-    /// partially buffered shard windows are absorbed — at exact record
-    /// boundaries (where the durable checkpoints land) this is the same
-    /// flush the reference run performs, keeping window chunking and
-    /// therefore every answer byte-identical across recovery.
-    fn checkpoint_doc(&mut self, wal_seq: u64) -> String {
-        self.flush();
-        let pipeline = self.pipeline.as_mut().expect("sealed");
-        let shard_sketches = pipeline
-            .shards()
-            .iter()
-            .map(|shard| shard.sink().sketches.clone())
-            .collect();
-        let cp = CheckpointV3 {
-            schema: CHECKPOINT_SCHEMA,
-            window: pipeline.window(),
-            count: self.count,
-            n_hint: self.n_hint,
-            shards: pipeline.shard_count(),
-            router: pipeline.router_name().to_string(),
-            recorder_enabled: self.obs.is_enabled(),
-            window_tap_installed: pipeline.shard(0).sink().tap.is_some(),
-            wal_seq,
-            specs: self.specs.clone(),
-            shard_sketches,
-        };
-        serde_json::to_string(&cp).expect("summaries serialize infallibly")
-    }
-
-    /// The WAL hook on the push path: buffer the chunk and, once a full
-    /// window has accumulated, append it as one record (redo logging — the
-    /// elements already entered the pipeline) and run the checkpoint
-    /// policy.
-    ///
-    /// [`Self::push_batch`] chunks at global window boundaries, so one
-    /// call extends the pending buffer by at most a window's remainder
-    /// (one `extend_from_slice` instead of per-element pushes) and fills
-    /// it exactly — the appended record holds the same `window` elements
-    /// in the same order as the scalar path, byte for byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics on WAL I/O errors — durability cannot silently degrade.
-    fn durable_ingest_chunk(&mut self, chunk: &[f32]) {
-        let window = self.pipeline.as_ref().expect("sealed").window();
-        let mut appended = false;
-        let mut fsynced = false;
-        let mut checkpoint_due = false;
-        if let Some(st) = self.dur.as_mut() {
-            st.pending.extend_from_slice(chunk);
-            debug_assert!(
-                st.pending.len() <= window,
-                "window-boundary chunking bounds the pending fill"
-            );
-            if st.pending.len() >= window {
-                let seq = st.next_seq;
-                fsynced = st
-                    .wal
-                    .append(seq, &st.pending)
-                    .unwrap_or_else(|e| panic!("durability: WAL append failed: {e}"));
-                appended = true;
-                st.pending.clear();
-                st.next_seq += 1;
-                st.records_since_checkpoint += 1;
-                checkpoint_due = st
-                    .opts
-                    .checkpoint
-                    .every()
-                    .is_some_and(|n| st.records_since_checkpoint >= n);
-            }
-        }
-        if appended && self.obs.is_enabled() {
-            self.obs.count("wal_appends", 1);
-            if fsynced {
-                self.obs.count("wal_fsyncs", 1);
-            }
-        }
-        if checkpoint_due {
-            self.write_durable_checkpoint();
-        }
-    }
-
-    /// Writes an incremental checkpoint: snapshot the envelope at the
-    /// current WAL horizon, then (policy permitting) truncate log segments
-    /// below it. Only called with an empty pending buffer — at seal time
-    /// and right after an append — so the snapshot never covers elements
-    /// the log hasn't sealed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on checkpoint-store or WAL I/O errors.
-    fn write_durable_checkpoint(&mut self) {
-        let Some(mut st) = self.dur.take() else {
-            return;
-        };
-        debug_assert!(
-            st.pending.is_empty(),
-            "checkpoint only at record boundaries"
-        );
-        let wal_seq = st.next_seq - 1;
-        let json = self.checkpoint_doc(wal_seq);
-        st.store
-            .save(wal_seq, &json)
-            .unwrap_or_else(|e| panic!("durability: checkpoint save failed: {e}"));
-        if st.opts.truncate_on_checkpoint {
-            st.wal
-                .truncate_below(wal_seq)
-                .unwrap_or_else(|e| panic!("durability: WAL truncation failed: {e}"));
-        }
-        st.records_since_checkpoint = 0;
-        st.needs_base_checkpoint = false;
-        self.dur = Some(st);
-        if self.obs.is_enabled() {
-            self.obs.count("wal_checkpoints", 1);
-        }
-    }
-
-    /// Restores an engine from a [`Self::checkpoint`] string onto fresh
-    /// pipelines for `engine`. Summaries resume exactly where they left
-    /// off; the simulated-time ledger restarts at zero, and the restored
-    /// engine starts without a recorder or window tap regardless of the
-    /// envelope's observer flags (both are process state).
-    ///
-    /// Accepts the schema-3 envelope, the schema-2 envelope, and the
-    /// legacy flat (schema-1) checkpoint, which restores as a single
-    /// shard. Schema 3 is tried first: it is a strict superset of schema
-    /// 2, which would otherwise parse a schema-3 document and silently
-    /// drop its WAL horizon.
-    ///
-    /// # Errors
-    ///
-    /// Returns the JSON error for input matching no schema.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an envelope is structurally inconsistent (shard list
-    /// length disagreeing with its declared shard count).
-    pub fn restore(engine: Engine, json: &str) -> Result<Self, serde_json::Error> {
-        fn check_shards(shard_sketches: &[Vec<QuerySketch>], shards: usize) {
-            assert_eq!(
-                shard_sketches.len(),
-                shards,
-                "envelope shard list must match its declared shard count"
-            );
-        }
-        let (n_hint, count, window, specs, shard_sketches) =
-            match serde_json::from_str::<CheckpointV3>(json) {
-                Ok(cp) => {
-                    check_shards(&cp.shard_sketches, cp.shards);
-                    (cp.n_hint, cp.count, cp.window, cp.specs, cp.shard_sketches)
-                }
-                // Not a v3 envelope — try schema 2, then the legacy flat
-                // layout, before reporting the v3 parse error.
-                Err(v3_err) => match serde_json::from_str::<CheckpointV2>(json) {
-                    Ok(cp) => {
-                        check_shards(&cp.shard_sketches, cp.shards);
-                        (cp.n_hint, cp.count, cp.window, cp.specs, cp.shard_sketches)
-                    }
-                    Err(_) => match serde_json::from_str::<Checkpoint>(json) {
-                        Ok(cp) => (cp.n_hint, cp.count, cp.window, cp.specs, vec![cp.sketches]),
-                        Err(_) => return Err(v3_err),
-                    },
-                },
-            };
-        let mut eng = StreamEngine::new(engine)
-            .with_n_hint(n_hint)
-            .with_shards(shard_sketches.len());
-        eng.specs = specs;
-        eng.count = count;
-        let mut fans = shard_sketches.into_iter().map(|sketches| QueryFan {
-            sketches,
-            tap: None,
-        });
-        eng.pipeline = Some(ShardedPipeline::new(engine, window, eng.shards, |_| {
-            fans.next().expect("one fan per shard")
-        }));
-        Ok(eng)
-    }
-
-    /// Rebuilds an engine from a durable directory after a crash: restores
-    /// the newest parseable checkpoint, repairs the WAL tail (discarding a
-    /// torn final record and everything after detected corruption — never
-    /// applying it), replays the surviving records above the checkpoint
-    /// horizon through the ordinary ingest path — reproducing the crashed
-    /// run's checkpoint-time flush schedule, so the recovered engine
-    /// answers byte-identically to an uncrashed run over the same prefix —
-    /// and reopens the log so ingestion continues durably.
-    ///
-    /// Records at or below the checkpoint horizon (stale segments left by
-    /// whole-segment truncation granularity, or by a crash between
-    /// checkpoint and truncate) are skipped, never replayed twice. The
-    /// recovered engine reports to `recorder` (pass
-    /// [`Recorder::disabled`] for none); as with [`Self::restore`], window
-    /// taps and simulated-time ledgers are not recovered.
-    ///
-    /// # Errors
-    ///
-    /// * [`std::io::ErrorKind::NotFound`] — no checkpoint in `opts.dir`
-    ///   (no durable engine ever sealed there).
-    /// * [`std::io::ErrorKind::InvalidData`] — checkpoints exist but none
-    ///   parses.
-    /// * Other I/O errors from scanning or repairing the log.
-    pub fn recover_from(
-        engine: Engine,
-        opts: DurableOptions,
-        recorder: Recorder,
-    ) -> std::io::Result<(Self, RecoveryReport)> {
-        let store = CheckpointStore::open(&opts.dir)?;
-        let ckpts = store.load_all_desc()?;
-        if ckpts.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("no checkpoint in {}", opts.dir.display()),
-            ));
-        }
-        let mut restored = None;
-        for (wal_seq, json) in &ckpts {
-            if let Ok(eng) = StreamEngine::restore(engine, json) {
-                restored = Some((*wal_seq, eng));
-                break;
-            }
-        }
-        let Some((ckpt_seq, mut eng)) = restored else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "{} checkpoint(s) in {} but none parses",
-                    ckpts.len(),
-                    opts.dir.display()
-                ),
-            ));
-        };
-        eng.obs = recorder;
-        let (wal, scanned) = Wal::open_for_append(&opts.dir, opts.wal_options())?;
-        let every = opts.checkpoint.every();
-        let mut report = RecoveryReport {
-            checkpoint_wal_seq: ckpt_seq,
-            replayed_records: 0,
-            replayed_elements: 0,
-            skipped_records: 0,
-            recovered_count: eng.count,
-            last_applied_seq: ckpt_seq,
-            torn_tail: scanned.torn_tail,
-            corruption: scanned.corruption.clone(),
-            segments_scanned: scanned.segments,
-        };
-        let mut replay_gap = false;
-        for rec in &scanned.records {
-            if rec.seq <= ckpt_seq {
-                report.skipped_records += 1;
-                continue;
-            }
-            if rec.seq != report.last_applied_seq + 1 {
-                // Only reachable when the newest checkpoint failed to
-                // parse and the log was already truncated past the older
-                // one we fell back to: the tail cannot be applied
-                // contiguously, so stop — never apply out of order.
-                report.corruption = Some(format!(
-                    "replay gap: expected record seq {}, found {}",
-                    report.last_applied_seq + 1,
-                    rec.seq
-                ));
-                replay_gap = true;
-                break;
-            }
-            for &v in &rec.payload {
-                eng.push(v);
-            }
-            if every.is_some_and(|n| rec.seq % n == 0) {
-                // The crashed run flushed here when it checkpointed;
-                // reproduce it so shard window chunking — and therefore
-                // every answer — matches byte for byte.
-                eng.flush();
-            }
-            report.replayed_records += 1;
-            report.replayed_elements += rec.payload.len() as u64;
-            report.last_applied_seq = rec.seq;
-        }
-        report.recovered_count = eng.count;
-        let wal = if scanned.last_seq() == report.last_applied_seq && !replay_gap {
-            wal
-        } else {
-            // The usable history ends at `last_applied_seq` but the log on
-            // disk does not (a stale-only tail below the checkpoint, or an
-            // inapplicable one past a replay gap). Appending after it
-            // would leave a sequence gap a later scan must reject, so
-            // rebuild the log and restart in a fresh segment.
-            drop(wal);
-            gsm_durable::wal::clear(&opts.dir)?;
-            Wal::create(&opts.dir, opts.wal_options())?
-        };
-        eng.dur = Some(DurableState {
-            wal,
-            store,
-            records_since_checkpoint: every.map_or(0, |n| report.last_applied_seq % n),
-            next_seq: report.last_applied_seq + 1,
-            pending: Vec::new(),
-            needs_base_checkpoint: false,
-            opts,
-        });
-        if eng.obs.is_enabled() {
-            eng.obs.count("dsms_recoveries", 1);
-            eng.obs.record_event(gsm_obs::EngineEvent::Recovery {
-                checkpoint_wal_seq: report.checkpoint_wal_seq,
-                replayed_records: report.replayed_records,
-                replayed_elements: report.replayed_elements,
-                torn_tail: report.torn_tail,
-                corruption: report.corruption.clone().unwrap_or_default(),
-            });
-        }
-        Ok((eng, report))
-    }
-
     /// Sustained service rate so far, in elements per simulated second.
     ///
     /// Returns `f64::INFINITY` before any time has been charged.
@@ -1395,42 +377,102 @@ impl StreamEngine {
             self.count as f64 / t
         }
     }
+
+    /// Serializes the engine's query state to JSON as a schema-3
+    /// multi-shard envelope: one sketch list per shard, plus the shard
+    /// layout, routing policy, the WAL horizon (0 when durability is off),
+    /// and explicit flags for the two process-side observers (recorder,
+    /// window tap) that checkpoints cannot carry.
+    ///
+    /// Flushes first, so partially buffered shard windows are absorbed —
+    /// at exact record boundaries (where the durable checkpoints land)
+    /// this is the same flush the reference run performs, keeping window
+    /// chunking and therefore every answer byte-identical across recovery.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no queries are registered.
+    pub fn checkpoint(&mut self) -> String {
+        self.flush();
+        let pipeline = self.sealed();
+        Envelope {
+            schema: SCHEMA,
+            window: pipeline.window(),
+            count: self.count,
+            n_hint: self.n_hint,
+            shards: pipeline.shard_count(),
+            router: pipeline.router_name().to_string(),
+            recorder_enabled: self.obs.is_enabled(),
+            window_tap_installed: pipeline.shard(0).sink().tap.is_some(),
+            wal_seq: self.dur.as_ref().map_or(0, DurableState::horizon),
+            specs: self.specs.clone(),
+            shard_sketches: pipeline
+                .shards()
+                .iter()
+                .map(|shard| shard.sink().sketches.clone())
+                .collect(),
+        }
+        .encode()
+    }
+
+    /// Restores an engine from a [`Self::checkpoint`] string onto fresh
+    /// pipelines for `engine`. Summaries resume exactly where they left
+    /// off; the simulated-time ledger restarts at zero, and the restored
+    /// engine starts without a recorder or window tap regardless of the
+    /// envelope's observer flags (both are process state).
+    ///
+    /// Accepts the current schema-3 envelope and both retired layouts
+    /// (the schema-2 envelope and the schema-1 flat checkpoint, which
+    /// restores as a single shard); the codec upgrades the old ones.
+    ///
+    /// # Errors
+    ///
+    /// The JSON error for input matching no schema, or an error naming
+    /// the inconsistency in an envelope that parses but contradicts itself
+    /// (zero window, shard list disagreeing with the declared shard count,
+    /// sketches not one per registered query of the matching kind).
+    pub fn restore(engine: Engine, json: &str) -> Result<Self, serde_json::Error> {
+        let cp = Envelope::decode(json)?;
+        let mut eng = EngineBuilder::new(engine)
+            .n_hint(cp.n_hint)
+            .shards(cp.shards)
+            .build()
+            .expect("a decoded envelope has at least one shard");
+        eng.specs = cp.specs;
+        eng.count = cp.count;
+        let mut fans = cp.shard_sketches.into_iter().map(|sketches| QueryFan {
+            sketches,
+            tap: None,
+        });
+        eng.pipeline = Some(ShardedPipeline::new(engine, cp.window, cp.shards, |_| {
+            fans.next().expect("one fan per shard")
+        }));
+        Ok(eng)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::SnapshotError;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn mixed_stream(n: usize, seed: u64) -> Vec<f32> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| {
-                if rng.random_range(0..5) == 0 {
-                    rng.random_range(0..16) as f32
-                } else {
-                    rng.random_range(0..65_536) as f32
-                }
-            })
-            .collect()
-    }
+    use crate::test_support::{engine, heavy_hitters, mixed_stream, quantile};
+    use gsm_sketch::LossyCounting;
 
     #[test]
     fn shared_pipeline_serves_all_query_kinds() {
         let data = mixed_stream(60_000, 1);
-        let mut eng = StreamEngine::new(Engine::GpuSim).with_n_hint(60_000);
+        let mut eng = engine(Engine::GpuSim, 60_000);
         let q = eng.register_quantile(0.01);
         let f = eng.register_frequency(0.001);
         let h = eng.register_hhh(0.001, BitPrefixHierarchy::new(vec![4, 8]));
-        eng.push_all(data.iter().copied());
+        eng.push_batch(&data);
 
-        let median = eng.quantile(q, 0.5);
+        let median = quantile(&mut eng, q, 0.5);
         assert!(median.is_finite());
-        let hot = eng.heavy_hitters(f, 0.01);
+        let hot = heavy_hitters(&mut eng, f, 0.01);
         assert!(!hot.is_empty(), "the 16 hot values are ~1.25% each");
-        let hhh = eng.hhh(h, 0.1);
+        let hhh = eng
+            .request(h, QueryRequest::Hhh { support: 0.1 })
+            .into_hhh();
         assert!(
             hhh.iter().any(|e| e.level > 0),
             "hot values share a 4-bit prefix (20% total): {hhh:?}"
@@ -1444,10 +486,10 @@ mod tests {
         // Sharing must not change any answer: compare against the
         // standalone estimators at the same window size.
         let data = mixed_stream(40_000, 2);
-        let mut eng = StreamEngine::new(Engine::Host).with_n_hint(40_000);
+        let mut eng = engine(Engine::Host, 40_000);
         let q = eng.register_quantile(0.01);
         let f = eng.register_frequency(0.001);
-        eng.push_all(data.iter().copied());
+        eng.push_batch(&data);
         let window = eng.window();
 
         let mut q_alone = gsm_core::QuantileEstimator::builder(0.01)
@@ -1456,7 +498,7 @@ mod tests {
             .window(window)
             .build();
         q_alone.push_all(data.iter().copied());
-        assert_eq!(eng.quantile(q, 0.5), q_alone.query(0.5));
+        assert_eq!(quantile(&mut eng, q, 0.5), q_alone.query(0.5));
 
         let mut f_alone = LossyCounting::with_window(0.001, window);
         for chunk in data.chunks(window) {
@@ -1464,7 +506,10 @@ mod tests {
             w.sort_by(f32::total_cmp);
             f_alone.push_sorted_window(&w);
         }
-        assert_eq!(eng.heavy_hitters(f, 0.01), f_alone.heavy_hitters(0.01));
+        assert_eq!(
+            heavy_hitters(&mut eng, f, 0.01),
+            f_alone.heavy_hitters(0.01)
+        );
     }
 
     #[test]
@@ -1473,7 +518,7 @@ mod tests {
         // shared, only summary maintenance grows.
         let data = mixed_stream(50_000, 3);
         let time_with = |kinds: usize| {
-            let mut eng = StreamEngine::new(Engine::CpuSim).with_n_hint(50_000);
+            let mut eng = engine(Engine::CpuSim, 50_000);
             let _ = eng.register_frequency(0.001);
             if kinds >= 2 {
                 let _ = eng.register_quantile(0.01);
@@ -1481,7 +526,7 @@ mod tests {
             if kinds >= 3 {
                 let _ = eng.register_hhh(0.001, BitPrefixHierarchy::new(vec![8]));
             }
-            eng.push_all(data.iter().copied());
+            eng.push_batch(&data);
             eng.flush();
             eng.total_time().as_secs()
         };
@@ -1495,7 +540,9 @@ mod tests {
 
     #[test]
     fn window_is_max_of_query_minimums() {
-        let mut eng = StreamEngine::new(Engine::Host);
+        let mut eng = EngineBuilder::new(Engine::Host)
+            .build()
+            .expect("valid configuration");
         let _ = eng.register_frequency(0.01); // needs >= 100
         let _ = eng.register_frequency(0.0005); // needs >= 2000
         let _ = eng.register_quantile(0.1); // needs >= 1024
@@ -1509,10 +556,10 @@ mod tests {
         let answers: Vec<_> = [Engine::GpuSim, Engine::CpuSim, Engine::Host]
             .into_iter()
             .map(|e| {
-                let mut eng = StreamEngine::new(e).with_n_hint(30_000);
+                let mut eng = engine(e, 30_000);
                 let f = eng.register_frequency(0.001);
-                eng.push_all(data.iter().copied());
-                eng.heavy_hitters(f, 0.01)
+                eng.push_batch(&data);
+                heavy_hitters(&mut eng, f, 0.01)
             })
             .collect();
         assert_eq!(answers[0], answers[1]);
@@ -1522,19 +569,22 @@ mod tests {
     #[test]
     fn checkpoint_restore_round_trip() {
         let data = mixed_stream(40_000, 9);
-        let mut eng = StreamEngine::new(Engine::Host).with_n_hint(80_000);
+        let mut eng = engine(Engine::Host, 80_000);
         let q = eng.register_quantile(0.01);
         let f = eng.register_frequency(0.001);
-        eng.push_all(data[..20_000].iter().copied());
+        eng.push_batch(&data[..20_000]);
         let json = eng.checkpoint();
 
         // Restore on a different engine and continue the stream.
         let mut restored = StreamEngine::restore(Engine::GpuSim, &json).expect("restore");
         assert_eq!(restored.count(), 20_000);
-        eng.push_all(data[20_000..].iter().copied());
-        restored.push_all(data[20_000..].iter().copied());
-        assert_eq!(eng.quantile(q, 0.5), restored.quantile(q, 0.5));
-        assert_eq!(eng.heavy_hitters(f, 0.01), restored.heavy_hitters(f, 0.01));
+        eng.push_batch(&data[20_000..]);
+        restored.push_batch(&data[20_000..]);
+        assert_eq!(quantile(&mut eng, q, 0.5), quantile(&mut restored, q, 0.5));
+        assert_eq!(
+            heavy_hitters(&mut eng, f, 0.01),
+            heavy_hitters(&mut restored, f, 0.01)
+        );
     }
 
     #[test]
@@ -1545,9 +595,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "before pushing")]
     fn late_registration_rejected() {
-        let mut eng = StreamEngine::new(Engine::Host);
+        let mut eng = EngineBuilder::new(Engine::Host)
+            .build()
+            .expect("valid configuration");
         let _ = eng.register_quantile(0.05);
-        eng.push(1.0);
+        eng.push_batch(&[1.0]);
         let _ = eng.register_frequency(0.01);
     }
 
@@ -1556,7 +608,9 @@ mod tests {
     fn registration_after_explicit_seal_rejected() {
         // seal() builds the shared pipeline even before any push; the query
         // set must be frozen from that point on.
-        let mut eng = StreamEngine::new(Engine::Host);
+        let mut eng = EngineBuilder::new(Engine::Host)
+            .build()
+            .expect("valid configuration");
         let _ = eng.register_quantile(0.05);
         eng.seal();
         let _ = eng.register_frequency(0.01);
@@ -1567,10 +621,10 @@ mod tests {
         // Checkpoint mid-window: the partial buffer must be flushed into
         // the summaries, not dropped — and not double-counted on restore.
         let data = mixed_stream(5_003, 11); // window = 1024, 907 stragglers
-        let mut eng = StreamEngine::new(Engine::Host).with_n_hint(10_000);
+        let mut eng = engine(Engine::Host, 10_000);
         let q = eng.register_quantile(0.02);
         let f = eng.register_frequency(0.001);
-        eng.push_all(data.iter().copied());
+        eng.push_batch(&data);
         assert_eq!(eng.window(), 1024);
         assert_ne!(
             data.len() % eng.window(),
@@ -1582,27 +636,32 @@ mod tests {
         let mut restored = StreamEngine::restore(Engine::Host, &json).expect("restore");
         assert_eq!(restored.count(), eng.count());
         assert_eq!(restored.count(), 5_003);
-        assert_eq!(eng.quantile(q, 0.5), restored.quantile(q, 0.5));
-        assert_eq!(eng.heavy_hitters(f, 0.01), restored.heavy_hitters(f, 0.01));
+        assert_eq!(quantile(&mut eng, q, 0.5), quantile(&mut restored, q, 0.5));
+        assert_eq!(
+            heavy_hitters(&mut eng, f, 0.01),
+            heavy_hitters(&mut restored, f, 0.01)
+        );
 
         // The original engine must also answer identically after the
         // checkpoint (its buffer was flushed, not stolen).
-        let before = eng.quantile(q, 0.25);
-        let after = eng.quantile(q, 0.25);
+        let before = quantile(&mut eng, q, 0.25);
+        let after = quantile(&mut eng, q, 0.25);
         assert_eq!(before, after);
     }
 
     #[test]
     fn recorder_observes_answers_and_windows() {
         let rec = Recorder::enabled();
-        let mut eng = StreamEngine::new(Engine::Host)
-            .with_n_hint(20_000)
-            .with_recorder(rec.clone());
+        let mut eng = EngineBuilder::new(Engine::Host)
+            .n_hint(20_000)
+            .recorder(rec.clone())
+            .build()
+            .expect("valid configuration");
         let q = eng.register_quantile(0.02);
         let f = eng.register_frequency(0.001);
-        eng.push_all(mixed_stream(20_000, 7));
-        let _ = eng.quantile(q, 0.5);
-        let _ = eng.heavy_hitters(f, 0.01);
+        eng.push_batch(&mixed_stream(20_000, 7));
+        let _ = eng.request(q, QueryRequest::Quantile { phi: 0.5 });
+        let _ = eng.request(f, QueryRequest::HeavyHitters { support: 0.01 });
         assert_eq!(rec.counter("dsms_seals"), 1);
         assert_eq!(rec.counter("dsms_queries_registered"), 2);
         // window = 1024 → 19 full windows + the flushed partial.
@@ -1617,6 +676,11 @@ mod tests {
                 .count,
             1
         );
+        assert!(
+            rec.histogram_labeled("dsms_answer", ("kind", "generic"))
+                .is_none(),
+            "every answer is attributed to its request's kind"
+        );
         assert_eq!(rec.counter("windows_absorbed"), 20);
         // The seal leaves a structured flight-recorder event too.
         assert!(rec.flight_events().iter().any(|e| matches!(
@@ -1629,57 +693,18 @@ mod tests {
     }
 
     #[test]
-    fn serving_engine_records_publish_and_merge_flight_events() {
-        let rec = Recorder::enabled();
-        let mut eng = StreamEngine::new(Engine::Host)
-            .with_n_hint(8192)
-            .with_shards(2)
-            .with_publish_every(2)
-            .with_recorder(rec.clone());
-        let _ = eng.register_quantile(0.05);
-        let registry = eng.serve();
-        eng.push_all(mixed_stream(8192, 11));
-        eng.flush();
-        eng.publish_now();
-        assert!(registry.epoch() >= 1);
-
-        let events = rec.flight_events();
-        let publishes: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e.event {
-                gsm_obs::EngineEvent::Publish { epoch, .. } => Some(epoch),
-                _ => None,
-            })
-            .collect();
-        assert!(!publishes.is_empty());
-        // Epochs in the ring are strictly increasing and end at the
-        // registry's current epoch.
-        assert!(publishes.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(*publishes.last().unwrap(), registry.epoch());
-        // Two shards means every published snapshot required a cross-shard
-        // merge, which widens the frequency bound — recorded as an event.
-        assert!(events.iter().any(|e| matches!(
-            e.event,
-            gsm_obs::EngineEvent::MergeBoundWidened {
-                queries: 1,
-                shards: 2
-            }
-        )));
-    }
-
-    #[test]
     fn window_tap_sees_every_sealed_window_without_changing_answers() {
-        use std::sync::{Arc, Mutex};
         let data = mixed_stream(10_000, 13);
 
         let run = |tap: Option<WindowTap>| {
-            let mut eng = StreamEngine::new(Engine::Host).with_n_hint(10_000);
+            let mut builder = EngineBuilder::new(Engine::Host).n_hint(10_000);
             if let Some(t) = tap {
-                eng = eng.with_window_tap(t);
+                builder = builder.window_tap(t);
             }
+            let mut eng = builder.build().expect("valid configuration");
             let q = eng.register_quantile(0.02);
-            eng.push_all(data.iter().copied());
-            eng.quantile(q, 0.5)
+            eng.push_batch(&data);
+            quantile(&mut eng, q, 0.5)
         };
 
         let seen: Arc<Mutex<Vec<f32>>> = Arc::new(Mutex::new(Vec::new()));
@@ -1700,26 +725,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "before pushing")]
-    fn late_window_tap_rejected() {
-        let mut eng = StreamEngine::new(Engine::Host);
-        let _ = eng.register_quantile(0.05);
-        eng.push(1.0);
-        let _ = eng.with_window_tap(Box::new(|_| {}));
-    }
-
-    #[test]
     fn sharded_engine_agrees_with_single_shard_within_eps() {
         let data = mixed_stream(40_000, 21);
         let answers = |k: usize| {
-            let mut eng = StreamEngine::new(Engine::Host)
-                .with_n_hint(40_000)
-                .with_shards(k);
+            let mut eng = EngineBuilder::new(Engine::Host)
+                .n_hint(40_000)
+                .shards(k)
+                .build()
+                .expect("valid configuration");
             let q = eng.register_quantile(0.02);
             let f = eng.register_frequency(0.001);
-            eng.push_all(data.iter().copied());
+            eng.push_batch(&data);
             assert_eq!(eng.shard_count(), k);
-            (eng.quantile(q, 0.5), eng.heavy_hitters(f, 0.01))
+            (quantile(&mut eng, q, 0.5), heavy_hitters(&mut eng, f, 0.01))
         };
         let (median_1, hot_1) = answers(1);
         for k in [2, 4] {
@@ -1745,93 +763,40 @@ mod tests {
     #[test]
     fn sharded_checkpoint_round_trips_exactly() {
         let data = mixed_stream(30_000, 23);
-        let mut eng = StreamEngine::new(Engine::Host)
-            .with_n_hint(60_000)
-            .with_shards(4);
+        let mut eng = EngineBuilder::new(Engine::Host)
+            .n_hint(60_000)
+            .shards(4)
+            .build()
+            .expect("valid configuration");
         let q = eng.register_quantile(0.02);
         let f = eng.register_frequency(0.001);
-        eng.push_all(data[..15_000].iter().copied());
+        eng.push_batch(&data[..15_000]);
         let json = eng.checkpoint();
 
         let mut restored = StreamEngine::restore(Engine::GpuSim, &json).expect("restore");
         assert_eq!(restored.shard_count(), 4);
         assert_eq!(restored.count(), 15_000);
-        eng.push_all(data[15_000..].iter().copied());
-        restored.push_all(data[15_000..].iter().copied());
-        assert_eq!(eng.quantile(q, 0.5), restored.quantile(q, 0.5));
-        assert_eq!(eng.heavy_hitters(f, 0.01), restored.heavy_hitters(f, 0.01));
-    }
-
-    #[test]
-    fn checkpoint_envelope_is_versioned_and_flags_observers() {
-        let mut eng = StreamEngine::new(Engine::Host)
-            .with_recorder(Recorder::enabled())
-            .with_window_tap(Box::new(|_| {}))
-            .with_shards(2);
-        let _ = eng.register_frequency(0.01);
-        eng.push_all((0..5_000).map(|i| (i % 64) as f32));
-        let json = eng.checkpoint();
-        let cp: CheckpointV3 = serde_json::from_str(&json).expect("v3 envelope");
-        assert_eq!(cp.schema, CHECKPOINT_SCHEMA);
-        assert_eq!(cp.shards, 2);
-        assert_eq!(cp.router, "hash");
-        assert!(cp.recorder_enabled, "envelope records the recorder");
-        assert!(cp.window_tap_installed, "envelope records the tap");
-        assert_eq!(cp.wal_seq, 0, "no WAL horizon without durability");
-        assert_eq!(cp.shard_sketches.len(), 2);
-
-        // A bare engine's envelope states the observers' *absence*.
-        let mut bare = StreamEngine::new(Engine::Host);
-        let _ = bare.register_frequency(0.01);
-        bare.push_all((0..500).map(|i| (i % 8) as f32));
-        let cp: CheckpointV3 = serde_json::from_str(&bare.checkpoint()).expect("v3 envelope");
-        assert!(!cp.recorder_enabled);
-        assert!(!cp.window_tap_installed);
-    }
-
-    #[test]
-    fn legacy_flat_checkpoint_still_restores() {
-        // Serialize the pre-envelope layout by hand and make sure restore
-        // accepts it as a single-shard engine with identical answers.
-        let data = mixed_stream(20_000, 27);
-        let mut eng = StreamEngine::new(Engine::Host).with_n_hint(40_000);
-        let q = eng.register_quantile(0.02);
-        let f = eng.register_frequency(0.001);
-        eng.push_all(data.iter().copied());
-        eng.flush();
-        let legacy = Checkpoint {
-            window: eng.window(),
-            count: eng.count(),
-            n_hint: 40_000,
-            specs: eng.specs.clone(),
-            sketches: eng
-                .pipeline
-                .as_ref()
-                .unwrap()
-                .shard(0)
-                .sink()
-                .sketches
-                .clone(),
-        };
-        let json = serde_json::to_string(&legacy).expect("legacy serializes");
-
-        let mut restored = StreamEngine::restore(Engine::Host, &json).expect("legacy restores");
-        assert_eq!(restored.shard_count(), 1);
-        assert_eq!(restored.count(), eng.count());
-        assert_eq!(eng.quantile(q, 0.5), restored.quantile(q, 0.5));
-        assert_eq!(eng.heavy_hitters(f, 0.01), restored.heavy_hitters(f, 0.01));
+        eng.push_batch(&data[15_000..]);
+        restored.push_batch(&data[15_000..]);
+        assert_eq!(quantile(&mut eng, q, 0.5), quantile(&mut restored, q, 0.5));
+        assert_eq!(
+            heavy_hitters(&mut eng, f, 0.01),
+            heavy_hitters(&mut restored, f, 0.01)
+        );
     }
 
     #[test]
     fn sharded_recorder_attributes_windows_per_shard() {
         let rec = Recorder::enabled();
-        let mut eng = StreamEngine::new(Engine::Host)
-            .with_n_hint(20_000)
-            .with_recorder(rec.clone())
-            .with_shards(2);
+        let mut eng = EngineBuilder::new(Engine::Host)
+            .n_hint(20_000)
+            .recorder(rec.clone())
+            .shards(2)
+            .build()
+            .expect("valid configuration");
         let q = eng.register_quantile(0.02);
-        eng.push_all(mixed_stream(20_000, 29));
-        let _ = eng.quantile(q, 0.5);
+        eng.push_batch(&mixed_stream(20_000, 29));
+        let _ = eng.request(q, QueryRequest::Quantile { phi: 0.5 });
         let s0 = rec.counter_labeled("windows_absorbed", ("shard", "0"));
         let s1 = rec.counter_labeled("windows_absorbed", ("shard", "1"));
         assert!(s0 > 0 && s1 > 0, "both shards absorb windows: {s0}/{s1}");
@@ -1842,19 +807,20 @@ mod tests {
 
     #[test]
     fn sharded_window_tap_sees_every_element() {
-        use std::sync::{Arc as StdArc, Mutex as StdMutex};
         let data = mixed_stream(10_000, 31);
-        let seen: StdArc<StdMutex<Vec<f32>>> = StdArc::new(StdMutex::new(Vec::new()));
-        let sink = StdArc::clone(&seen);
-        let mut eng = StreamEngine::new(Engine::Host)
-            .with_n_hint(10_000)
-            .with_window_tap(Box::new(move |w: &[f32]| {
+        let seen: Arc<Mutex<Vec<f32>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let mut eng = EngineBuilder::new(Engine::Host)
+            .n_hint(10_000)
+            .window_tap(Box::new(move |w: &[f32]| {
                 sink.lock().expect("tap lock").extend_from_slice(w);
             }))
-            .with_shards(4);
+            .shards(4)
+            .build()
+            .expect("valid configuration");
         let q = eng.register_quantile(0.02);
-        eng.push_all(data.iter().copied());
-        let _ = eng.quantile(q, 0.5);
+        eng.push_batch(&data);
+        let _ = eng.request(q, QueryRequest::Quantile { phi: 0.5 });
         let mut observed = seen.lock().expect("tap lock").clone();
         assert_eq!(
             observed.len(),
@@ -1873,12 +839,14 @@ mod tests {
         // invariant is asserted at the pipeline layer); here the engine
         // path over it must answer correctly end to end.
         let data = mixed_stream(20_000, 37);
-        let mut eng = StreamEngine::new(Engine::ParallelHost)
-            .with_n_hint(20_000)
-            .with_shards(4);
+        let mut eng = EngineBuilder::new(Engine::ParallelHost)
+            .n_hint(20_000)
+            .shards(4)
+            .build()
+            .expect("valid configuration");
         let f = eng.register_frequency(0.001);
-        eng.push_all(data.iter().copied());
-        let hot = eng.heavy_hitters(f, 0.01);
+        eng.push_batch(&data);
+        let hot = heavy_hitters(&mut eng, f, 0.01);
         assert!(!hot.is_empty(), "the 16 hot values are ~1.25% each");
     }
 
@@ -1886,21 +854,31 @@ mod tests {
     fn sliding_queries_ride_the_shared_pipeline() {
         // Phase 1 near 0, phase 2 near 100: the sliding median must track
         // the recent window while the whole-stream median stays between.
-        let mut eng = StreamEngine::new(Engine::Host).with_n_hint(40_000);
+        let mut eng = engine(Engine::Host, 40_000);
         let sq = eng.register_sliding_quantile(0.05, 4_000);
         let sf = eng.register_sliding_frequency(0.05, 4_000);
         let q = eng.register_quantile(0.02);
-        eng.push_all((0..20_000).map(|i| (i % 7) as f32));
-        eng.push_all((0..20_000).map(|i| 100.0 + (i % 3) as f32));
-        assert!(eng.sliding_quantile(sq, 0.5) >= 100.0);
+        eng.push_batch(&(0..20_000).map(|i| (i % 7) as f32).collect::<Vec<f32>>());
+        eng.push_batch(
+            &(0..20_000)
+                .map(|i| 100.0 + (i % 3) as f32)
+                .collect::<Vec<f32>>(),
+        );
+        assert!(
+            eng.request(sq, QueryRequest::SlidingQuantile { phi: 0.5 })
+                .into_quantile()
+                >= 100.0
+        );
         // The stream is an exact 50/50 split, so the whole-stream median
         // sits at the phase boundary (within ε ranks of it).
-        let whole = eng.quantile(q, 0.5);
+        let whole = quantile(&mut eng, q, 0.5);
         assert!(
             (0.0..=100.0).contains(&whole),
             "whole-stream median {whole}"
         );
-        let hot = eng.sliding_heavy_hitters(sf, 0.2);
+        let hot = eng
+            .request(sf, QueryRequest::SlidingFrequency { support: 0.2 })
+            .into_heavy_hitters();
         let values: Vec<u32> = hot.iter().map(|(v, _)| *v as u32).collect();
         assert!(
             values.iter().all(|v| (100..103).contains(v)),
@@ -1909,367 +887,42 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_answers_match_direct_answers_byte_for_byte() {
-        for engine in Engine::ALL {
-            for shards in [1, 3] {
-                let mut eng = StreamEngine::new(engine)
-                    .with_n_hint(30_000)
-                    .with_shards(shards);
-                let q = eng.register_quantile(0.02);
-                let f = eng.register_frequency(0.001);
-                let h = eng.register_hhh(0.001, BitPrefixHierarchy::new(vec![4, 8]));
-                let sq = eng.register_sliding_quantile(0.05, 4_000);
-                let sf = eng.register_sliding_frequency(0.05, 4_000);
-                let reg = eng.serve();
-                eng.push_all(mixed_stream(30_000, 41).iter().copied());
-                // Flush, then publish so snapshot and direct query cover
-                // exactly the same sealed windows.
-                eng.flush();
-                eng.publish_now();
-                let snap = reg.latest().expect("published");
-                assert_eq!(snap.pushed(), 30_000);
-                assert_eq!(snap.absorbed(), 30_000, "flush sealed everything");
-                let direct_q = eng.quantile(q, 0.5);
-                let direct_f = eng.heavy_hitters(f, 0.01);
-                let direct_h = eng.hhh(h, 0.1);
-                let direct_sq = eng.sliding_quantile(sq, 0.5);
-                let direct_sf = eng.sliding_heavy_hitters(sf, 0.2);
-                let ctx = format!("{engine:?} k={shards}");
-                assert_eq!(
-                    snap.quantile(q.index(), 0.5).unwrap().to_bits(),
-                    direct_q.to_bits(),
-                    "{ctx}"
-                );
-                assert_eq!(
-                    snap.heavy_hitters(f.index(), 0.01).unwrap(),
-                    direct_f,
-                    "{ctx}"
-                );
-                assert_eq!(snap.hhh(h.index(), 0.1).unwrap(), direct_h, "{ctx}");
-                assert_eq!(
-                    snap.sliding_quantile(sq.index(), 0.5).unwrap().to_bits(),
-                    direct_sq.to_bits(),
-                    "{ctx}"
-                );
-                assert_eq!(
-                    snap.sliding_heavy_hitters(sf.index(), 0.2).unwrap(),
-                    direct_sf,
-                    "{ctx}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn publication_follows_window_seals_without_flushing() {
-        let mut eng = StreamEngine::new(Engine::Host).with_n_hint(10_000);
-        let q = eng.register_quantile(0.02);
-        let reg = eng.serve();
-        // Initial publication: epoch 1, nothing sealed, quantile empty.
-        assert_eq!(reg.epoch(), 1);
-        let first = reg.latest().expect("initial snapshot");
-        assert_eq!(first.windows_sealed(), 0);
-        assert_eq!(
-            first.quantile(q.index(), 0.5),
-            Err(SnapshotError::Empty),
-            "no sealed window yet"
-        );
-
-        // 1023 elements: still mid-window, no new publication.
-        eng.push_all((0..1023).map(|i| i as f32));
-        assert_eq!(reg.epoch(), 1);
-        // One more element seals window 1 and publishes epoch 2 — without
-        // absorbing the (empty) partial buffer.
-        eng.push(1023.0);
-        assert_eq!(reg.epoch(), 2);
-        let snap = reg.latest().expect("published");
-        assert_eq!(snap.windows_sealed(), 1);
-        assert_eq!(snap.pushed(), 1024);
-        assert_eq!(snap.absorbed(), 1024);
-        assert!(snap.quantile(q.index(), 0.5).is_ok());
-
-        // A partial tail is visible in pushed() but not absorbed().
-        eng.push_all((0..100).map(|i| i as f32));
-        eng.publish_now();
-        let snap = reg.latest().expect("published");
-        assert_eq!(snap.pushed(), 1124);
-        assert_eq!(snap.absorbed(), 1024, "publication never flushes");
-    }
-
-    #[test]
-    fn publish_cadence_batches_seals() {
-        let mut eng = StreamEngine::new(Engine::Host)
-            .with_n_hint(10_000)
-            .with_publish_every(4);
-        let _ = eng.register_quantile(0.02);
-        let reg = eng.serve();
-        eng.push_all((0..3 * 1024).map(|i| i as f32));
-        assert_eq!(reg.epoch(), 1, "3 seals < cadence 4");
-        eng.push_all((0..1024).map(|i| i as f32));
-        assert_eq!(reg.epoch(), 2, "4th seal publishes");
-    }
-
-    #[test]
-    fn snapshot_rejects_wrong_kind_and_unknown_queries() {
-        let mut eng = StreamEngine::new(Engine::Host);
-        let q = eng.register_quantile(0.02);
-        let reg = eng.serve();
-        eng.push_all((0..2048).map(|i| i as f32));
-        let snap = reg.latest().expect("published");
-        assert_eq!(
-            snap.heavy_hitters(q.index(), 0.01),
-            Err(SnapshotError::WrongKind {
-                asked: QueryKind::Frequency,
-                actual: QueryKind::Quantile,
-            })
-        );
-        assert_eq!(snap.answer(99, 0.5), Err(SnapshotError::UnknownQuery(99)));
-        assert_eq!(snap.kind(q.index()), Some(QueryKind::Quantile));
-        assert_eq!(snap.kind(99), None);
-        assert_eq!(snap.query_count(), 1);
-    }
-
-    #[test]
-    fn held_snapshot_survives_later_publications() {
-        let mut eng = StreamEngine::new(Engine::Host).with_n_hint(10_000);
-        let q = eng.register_quantile(0.02);
-        let reg = eng.serve();
-        eng.push_all((0..1024).map(|i| i as f32));
-        let old = reg.latest().expect("epoch 2");
-        let old_median = old.quantile(q.index(), 0.5).unwrap();
-        eng.push_all((0..4096).map(|i| (i % 10) as f32));
-        assert!(reg.epoch() > old.epoch(), "newer snapshots published");
-        // The held snapshot still answers, unchanged.
-        assert_eq!(old.quantile(q.index(), 0.5).unwrap(), old_median);
-        assert!(reg.latest().expect("latest").epoch() > old.epoch());
-    }
-
-    #[test]
     fn checkpoint_round_trips_sliding_queries() {
         let data = mixed_stream(20_000, 43);
-        let mut eng = StreamEngine::new(Engine::Host).with_n_hint(40_000);
+        let mut eng = engine(Engine::Host, 40_000);
         let sq = eng.register_sliding_quantile(0.05, 4_000);
         let sf = eng.register_sliding_frequency(0.05, 4_000);
-        eng.push_all(data[..10_000].iter().copied());
+        eng.push_batch(&data[..10_000]);
         let json = eng.checkpoint();
         let mut restored = StreamEngine::restore(Engine::GpuSim, &json).expect("restore");
-        eng.push_all(data[10_000..].iter().copied());
-        restored.push_all(data[10_000..].iter().copied());
+        eng.push_batch(&data[10_000..]);
+        restored.push_batch(&data[10_000..]);
         assert_eq!(
-            eng.sliding_quantile(sq, 0.5).to_bits(),
-            restored.sliding_quantile(sq, 0.5).to_bits()
+            eng.request(sq, QueryRequest::SlidingQuantile { phi: 0.5 })
+                .into_quantile()
+                .to_bits(),
+            restored
+                .request(sq, QueryRequest::SlidingQuantile { phi: 0.5 })
+                .into_quantile()
+                .to_bits()
         );
         assert_eq!(
-            eng.sliding_heavy_hitters(sf, 0.2),
-            restored.sliding_heavy_hitters(sf, 0.2)
+            eng.request(sf, QueryRequest::SlidingFrequency { support: 0.2 })
+                .into_heavy_hitters(),
+            restored
+                .request(sf, QueryRequest::SlidingFrequency { support: 0.2 })
+                .into_heavy_hitters()
         );
     }
 
     #[test]
-    fn serve_is_idempotent_and_observable() {
-        let rec = Recorder::enabled();
-        let mut eng = StreamEngine::new(Engine::Host)
-            .with_n_hint(10_000)
-            .with_recorder(rec.clone());
-        let _ = eng.register_quantile(0.02);
-        let reg1 = eng.serve();
-        let reg2 = eng.serve();
-        assert!(Arc::ptr_eq(&reg1, &reg2), "serve() returns one registry");
-        eng.push_all((0..2048).map(|i| i as f32));
-        assert_eq!(rec.counter("dsms_snapshots_published"), 3); // initial + 2 seals
-        assert_eq!(rec.gauge("dsms_snapshot_epoch").unwrap().current, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a quantile")]
+    #[should_panic(expected = "answers frequency but quantile was requested")]
     fn wrong_query_kind_panics() {
-        let mut eng = StreamEngine::new(Engine::Host);
+        let mut eng = EngineBuilder::new(Engine::Host)
+            .build()
+            .expect("valid configuration");
         let f = eng.register_frequency(0.01);
-        eng.push_all((0..500).map(|i| (i % 50) as f32));
-        let _ = eng.quantile(f, 0.5);
-    }
-
-    fn durable_dir(tag: &str) -> std::path::PathBuf {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static N: AtomicU64 = AtomicU64::new(0);
-        std::env::temp_dir().join(format!(
-            "gsm-dsms-durable-{}-{tag}-{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::Relaxed)
-        ))
-    }
-
-    fn durable_opts(dir: &std::path::Path) -> crate::DurableOptions {
-        use gsm_durable::{CheckpointPolicy, FsyncPolicy};
-        crate::DurableOptions::new(dir)
-            .fsync(FsyncPolicy::Off)
-            .checkpoint(CheckpointPolicy::EveryWindows(2))
-            .records_per_segment(3)
-    }
-
-    #[test]
-    fn durable_recovery_is_byte_identical_after_clean_kill() {
-        let data = mixed_stream(10_000, 91);
-        let dir = durable_dir("clean");
-        let rec = Recorder::enabled();
-        let mut eng = StreamEngine::new(Engine::Host)
-            .with_n_hint(20_000)
-            .with_recorder(rec.clone())
-            .with_durability(durable_opts(&dir))
-            .expect("durable engine");
-        let q = eng.register_quantile(0.02);
-        let f = eng.register_frequency(0.005);
-        eng.push_all(data.iter().copied());
-        assert!(rec.counter("wal_appends") > 0, "seals were logged");
-        assert!(rec.counter("wal_checkpoints") > 0, "policy checkpointed");
-        drop(eng); // simulated kill: no shutdown hook, no final flush
-
-        let rec2 = Recorder::enabled();
-        let (mut back, report) =
-            StreamEngine::recover_from(Engine::Host, durable_opts(&dir), rec2.clone())
-                .expect("recovery");
-        assert!(!report.damaged(), "clean log: no tear, no corruption");
-        assert_eq!(rec2.counter("dsms_recoveries"), 1);
-        // The final partial window (pending, never sealed) is lost by
-        // design; everything sealed survives.
-        let window = back.window() as u64;
-        assert_eq!(
-            report.recovered_count,
-            (data.len() as u64 / window) * window
-        );
-        assert_eq!(report.recovered_count, back.count());
-
-        // Byte-identical to an uncrashed run over the recovered prefix
-        // (k = 1: checkpoint flushes are no-ops at record boundaries, so a
-        // plain engine is a valid reference).
-        let mut reference = StreamEngine::new(Engine::Host).with_n_hint(20_000);
-        let _ = reference.register_quantile(0.02);
-        let _ = reference.register_frequency(0.005);
-        reference.push_all(data[..back.count() as usize].iter().copied());
-        for phi in [0.01, 0.25, 0.5, 0.75, 0.99] {
-            assert_eq!(
-                back.quantile(q, phi).to_bits(),
-                reference.quantile(q, phi).to_bits(),
-                "phi={phi}"
-            );
-        }
-        assert_eq!(
-            back.heavy_hitters(f, 0.01),
-            reference.heavy_hitters(f, 0.01)
-        );
-
-        // And the recovered engine keeps ingesting durably.
-        back.push_all(data.iter().copied());
-        assert!(rec2.counter("wal_appends") > 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn recovery_skips_stale_records_without_truncation() {
-        // Crash-between-checkpoint-and-truncate, held open permanently:
-        // every checkpoint leaves its pre-horizon records in place, and
-        // recovery must skip them rather than replay them twice.
-        let data = mixed_stream(9_000, 92);
-        let dir = durable_dir("stale");
-        let mut eng = StreamEngine::new(Engine::Host)
-            .with_n_hint(18_000)
-            .with_durability(durable_opts(&dir).truncate_on_checkpoint(false))
-            .expect("durable engine");
-        let q = eng.register_quantile(0.02);
-        eng.push_all(data.iter().copied());
-        drop(eng);
-
-        let (mut back, report) = StreamEngine::recover_from(
-            Engine::Host,
-            durable_opts(&dir).truncate_on_checkpoint(false),
-            Recorder::disabled(),
-        )
-        .expect("recovery");
-        assert!(report.skipped_records > 0, "stale records were present");
-        assert_eq!(
-            report.checkpoint_wal_seq, report.skipped_records,
-            "exactly the records at or below the horizon are skipped"
-        );
-        let mut reference = StreamEngine::new(Engine::Host).with_n_hint(18_000);
-        let _ = reference.register_quantile(0.02);
-        reference.push_all(data[..back.count() as usize].iter().copied());
-        assert_eq!(
-            back.quantile(q, 0.5).to_bits(),
-            reference.quantile(q, 0.5).to_bits()
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn recovery_of_empty_dir_is_not_found() {
-        let dir = durable_dir("empty");
-        let err = match StreamEngine::recover_from(
-            Engine::Host,
-            durable_opts(&dir),
-            Recorder::disabled(),
-        ) {
-            Ok(_) => panic!("recovery of an empty directory must fail"),
-            Err(e) => e,
-        };
-        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn durability_refuses_a_dirty_directory() {
-        let dir = durable_dir("dirty");
-        let mut eng = StreamEngine::new(Engine::Host)
-            .with_durability(durable_opts(&dir))
-            .expect("durable engine");
-        let _ = eng.register_quantile(0.02);
-        eng.push_all((0..3000).map(|i| i as f32));
-        drop(eng);
-        let err = match StreamEngine::new(Engine::Host).with_durability(durable_opts(&dir)) {
-            Ok(_) => panic!("a dirty directory must be refused"),
-            Err(e) => e,
-        };
-        assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sharded_durable_recovery_matches_sharded_durable_reference() {
-        // k = 2: checkpoint flushes change shard window chunking, so the
-        // reference must be a durable engine with the same cadence; replay
-        // reproduces the flush schedule.
-        let data = mixed_stream(12_000, 93);
-        let dir = durable_dir("shard");
-        let ref_dir = durable_dir("shard-ref");
-        let mut eng = StreamEngine::new(Engine::Host)
-            .with_n_hint(24_000)
-            .with_shards(2)
-            .with_durability(durable_opts(&dir))
-            .expect("durable engine");
-        let q = eng.register_quantile(0.02);
-        eng.push_all(data.iter().copied());
-        drop(eng);
-
-        let (mut back, report) =
-            StreamEngine::recover_from(Engine::Host, durable_opts(&dir), Recorder::disabled())
-                .expect("recovery");
-        assert_eq!(back.shard_count(), 2, "shard layout recovered");
-
-        let mut reference = StreamEngine::new(Engine::Host)
-            .with_n_hint(24_000)
-            .with_shards(2)
-            .with_durability(durable_opts(&ref_dir))
-            .expect("reference engine");
-        let _ = reference.register_quantile(0.02);
-        reference.push_all(data[..report.recovered_count as usize].iter().copied());
-        assert_eq!(
-            back.quantile(q, 0.5).to_bits(),
-            reference.quantile(q, 0.5).to_bits()
-        );
-        assert_eq!(
-            back.quantile(q, 0.99).to_bits(),
-            reference.quantile(q, 0.99).to_bits()
-        );
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::remove_dir_all(&ref_dir).ok();
+        eng.push_batch(&(0..500).map(|i| (i % 50) as f32).collect::<Vec<f32>>());
+        let _ = eng.request(f, QueryRequest::Quantile { phi: 0.5 });
     }
 }

@@ -130,31 +130,23 @@ pub fn run_at_rate(
     let mut offered = 0u64;
     let mut arrival_clock = 0.0f64;
 
-    let mut buffered: Vec<f32> = Vec::with_capacity(chunk);
     let mut admitted: Vec<f32> = Vec::with_capacity(chunk);
     let mut values = values.into_iter();
     loop {
-        buffered.clear();
-        for v in values.by_ref() {
-            buffered.push(v);
-            if buffered.len() == chunk {
-                break;
-            }
-        }
-        if buffered.is_empty() {
-            break;
-        }
-        offered += buffered.len() as u64;
-        arrival_clock += buffered.len() as f64 / offered_rate;
-
+        let decided_before = shedder.admitted() + shedder.dropped();
         let dropped_before = shedder.dropped();
         // Shed decisions stay per element (the error-diffusion accumulator
-        // advances once per arrival, so keep-permille semantics are
-        // unchanged); the admitted sub-stream is compacted into a staging
-        // buffer and ingested as one columnar batch per chunk.
+        // advances once per arrival); the admitted sub-stream of each
+        // chunk of arrivals is ingested as one columnar batch.
         admitted.clear();
-        admitted.extend(buffered.iter().copied().filter(|_| shedder.admit()));
-        engine.push_batch(admitted.as_slice());
+        admitted.extend(values.by_ref().take(chunk).filter(|_| shedder.admit()));
+        let arrived = shedder.admitted() + shedder.dropped() - decided_before;
+        if arrived == 0 {
+            break;
+        }
+        offered += arrived;
+        arrival_clock += arrived as f64 / offered_rate;
+        engine.push_batch(&admitted);
         let dropped_now = shedder.dropped() - dropped_before;
         if obs.is_enabled() && dropped_now > 0 {
             // One shedding event per chunk that actually dropped arrivals,
@@ -207,6 +199,8 @@ pub fn run_at_rate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{engine, quantile};
+    use crate::EngineBuilder;
     use gsm_core::Engine;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -241,12 +235,12 @@ mod tests {
     #[test]
     fn no_shedding_below_capacity() {
         let data = uniform(40_000, 1);
-        let mut eng = StreamEngine::new(Engine::CpuSim).with_n_hint(40_000);
+        let mut eng = engine(Engine::CpuSim, 40_000);
         let _ = eng.register_frequency(0.001);
         // Probe the service rate, then offer well below it.
-        let mut probe = StreamEngine::new(Engine::CpuSim).with_n_hint(40_000);
+        let mut probe = engine(Engine::CpuSim, 40_000);
         let _ = probe.register_frequency(0.001);
-        probe.push_all(data.iter().copied());
+        probe.push_batch(&data);
         probe.flush();
         let capacity = probe.service_rate();
 
@@ -258,14 +252,14 @@ mod tests {
     #[test]
     fn overload_sheds_to_the_capacity_ratio() {
         let data = uniform(120_000, 2);
-        let mut probe = StreamEngine::new(Engine::CpuSim).with_n_hint(120_000);
+        let mut probe = engine(Engine::CpuSim, 120_000);
         let _ = probe.register_frequency(0.001);
-        probe.push_all(data.iter().copied());
+        probe.push_batch(&data);
         probe.flush();
         let capacity = probe.service_rate();
 
         // Offer 4x capacity: the controller must converge near keep = 0.25.
-        let mut eng = StreamEngine::new(Engine::CpuSim).with_n_hint(120_000);
+        let mut eng = engine(Engine::CpuSim, 120_000);
         let _ = eng.register_frequency(0.001);
         let report = run_at_rate(&mut eng, data.iter().copied(), capacity * 4.0);
         let shed = report.shed_fraction();
@@ -280,16 +274,18 @@ mod tests {
     #[test]
     fn recorder_counts_shed_events() {
         let data = uniform(60_000, 5);
-        let mut probe = StreamEngine::new(Engine::CpuSim).with_n_hint(60_000);
+        let mut probe = engine(Engine::CpuSim, 60_000);
         let _ = probe.register_frequency(0.001);
-        probe.push_all(data.iter().copied());
+        probe.push_batch(&data);
         probe.flush();
         let capacity = probe.service_rate();
 
         let rec = gsm_obs::Recorder::enabled();
-        let mut eng = StreamEngine::new(Engine::CpuSim)
-            .with_n_hint(60_000)
-            .with_recorder(rec.clone());
+        let mut eng = EngineBuilder::new(Engine::CpuSim)
+            .n_hint(60_000)
+            .recorder(rec.clone())
+            .build()
+            .expect("valid configuration");
         let _ = eng.register_frequency(0.001);
         let report = run_at_rate(&mut eng, data.iter().copied(), capacity * 4.0);
         assert!(report.shed > 0, "4x overload must shed: {report:?}");
@@ -320,16 +316,16 @@ mod tests {
         // Uniform decimation preserves the distribution: a quantile query
         // over the kept sub-stream stays close to the full-stream value.
         let data = uniform(100_000, 3);
-        let mut eng = StreamEngine::new(Engine::Host).with_n_hint(100_000);
+        let mut eng = engine(Engine::Host, 100_000);
         let q = eng.register_quantile(0.01);
         // Host engine has zero service time → force shedding manually.
         let mut shedder = LoadShedder::new(0.25);
         for &v in &data {
             if shedder.admit() {
-                eng.push(v);
+                eng.push_batch(&[v]);
             }
         }
-        let median = eng.quantile(q, 0.5);
+        let median = quantile(&mut eng, q, 0.5);
         let mut sorted = data;
         sorted.sort_by(f32::total_cmp);
         let exact = sorted[sorted.len() / 2];

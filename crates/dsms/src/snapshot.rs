@@ -26,39 +26,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use gsm_core::HhhEntry;
+use gsm_sketch::OpCounter;
 
-use crate::engine::{QueryAnswer, QueryRequest, QuerySketch};
-
-/// What a registered continuous query answers — the snapshot-side mirror
-/// of the engine's (private) query specs, exposed so serving layers can
-/// validate and route requests without holding an engine reference.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum QueryKind {
-    /// ε-approximate quantiles over the whole stream.
-    Quantile,
-    /// ε-approximate frequencies / heavy hitters over the whole stream.
-    Frequency,
-    /// Hierarchical heavy hitters over the whole stream.
-    Hhh,
-    /// ε-approximate quantiles over a fixed-width sliding window.
-    SlidingQuantile,
-    /// ε-approximate frequencies over a fixed-width sliding window.
-    SlidingFrequency,
-}
-
-impl QueryKind {
-    /// Stable lower-case name (used by wire protocols and metric labels).
-    pub fn name(&self) -> &'static str {
-        match self {
-            QueryKind::Quantile => "quantile",
-            QueryKind::Frequency => "frequency",
-            QueryKind::Hhh => "hhh",
-            QueryKind::SlidingQuantile => "sliding_quantile",
-            QueryKind::SlidingFrequency => "sliding_frequency",
-        }
-    }
-}
+use crate::engine::StreamEngine;
+use crate::query::{QueryAnswer, QueryKind, QueryRequest, QuerySketch};
 
 /// Why a snapshot could not answer a query.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -98,7 +69,7 @@ impl std::error::Error for SnapshotError {}
 /// Built by the engine at publication time: per-shard sketches are merged
 /// (shard 0 cloned, the rest folded in sketch-by-sketch — byte-identical
 /// to the engine's own query-time merge order), and the result is frozen.
-/// All query methods take `&self`; answers from a snapshot are
+/// [`Self::request`] takes `&self`; answers from a snapshot are
 /// byte-identical to the engine's direct answers over the same sealed
 /// windows, because both run the same query code on the same merged state.
 pub struct EngineSnapshot {
@@ -107,7 +78,6 @@ pub struct EngineSnapshot {
     pub(crate) absorbed: u64,
     pub(crate) window: usize,
     pub(crate) windows_sealed: u64,
-    pub(crate) kinds: Vec<QueryKind>,
     pub(crate) sketches: Vec<QuerySketch>,
 }
 
@@ -142,117 +112,18 @@ impl EngineSnapshot {
 
     /// Number of registered queries.
     pub fn query_count(&self) -> usize {
-        self.kinds.len()
+        self.sketches.len()
     }
 
     /// The kind of query `id`, if it exists.
     pub fn kind(&self, id: usize) -> Option<QueryKind> {
-        self.kinds.get(id).copied()
+        self.sketches.get(id).map(QuerySketch::kind)
     }
 
-    fn sketch(&self, id: usize, asked: QueryKind) -> Result<&QuerySketch, SnapshotError> {
-        let actual = self
-            .kinds
-            .get(id)
-            .copied()
-            .ok_or(SnapshotError::UnknownQuery(id))?;
-        if actual != asked {
-            return Err(SnapshotError::WrongKind { asked, actual });
-        }
-        Ok(&self.sketches[id])
-    }
-
-    /// Answers a whole-stream φ-quantile query.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::UnknownQuery`], [`SnapshotError::WrongKind`], or
-    /// [`SnapshotError::Empty`] before the first sealed window.
-    pub fn quantile(&self, id: usize, phi: f64) -> Result<f32, SnapshotError> {
-        let sketch = self.sketch(id, QueryKind::Quantile)?;
-        if self.windows_sealed == 0 {
-            return Err(SnapshotError::Empty);
-        }
-        match sketch {
-            QuerySketch::Quantile(q) => Ok(q.query(phi)),
-            _ => unreachable!("kind table matches sketch layout"),
-        }
-    }
-
-    /// Answers a whole-stream heavy-hitters query at support `s`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::UnknownQuery`] or [`SnapshotError::WrongKind`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (in the summary) unless `ε < s ≤ 1`.
-    pub fn heavy_hitters(&self, id: usize, s: f64) -> Result<Vec<(f32, u64)>, SnapshotError> {
-        match self.sketch(id, QueryKind::Frequency)? {
-            QuerySketch::Frequency(f) => Ok(f.heavy_hitters(s)),
-            _ => unreachable!("kind table matches sketch layout"),
-        }
-    }
-
-    /// Answers a hierarchical heavy-hitters query at support `s`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::UnknownQuery`] or [`SnapshotError::WrongKind`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (in the summary) unless `ε < s ≤ 1`.
-    pub fn hhh(&self, id: usize, s: f64) -> Result<Vec<HhhEntry>, SnapshotError> {
-        match self.sketch(id, QueryKind::Hhh)? {
-            QuerySketch::Hhh(h) => Ok(h.query(s)),
-            _ => unreachable!("kind table matches sketch layout"),
-        }
-    }
-
-    /// Answers a sliding-window φ-quantile query (frozen form — no
-    /// mutation, see [`gsm_sketch::SlidingQuantile::query_frozen`]).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::UnknownQuery`], [`SnapshotError::WrongKind`], or
-    /// [`SnapshotError::Empty`] before the first sealed window.
-    pub fn sliding_quantile(&self, id: usize, phi: f64) -> Result<f32, SnapshotError> {
-        let sketch = self.sketch(id, QueryKind::SlidingQuantile)?;
-        if self.windows_sealed == 0 {
-            return Err(SnapshotError::Empty);
-        }
-        match sketch {
-            QuerySketch::SlidingQuantile(s) => Ok(s.query_frozen(phi)),
-            _ => unreachable!("kind table matches sketch layout"),
-        }
-    }
-
-    /// Answers a sliding-window heavy-hitters query at support `s`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::UnknownQuery`] or [`SnapshotError::WrongKind`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (in the summary) unless `ε < s ≤ 1`.
-    pub fn sliding_heavy_hitters(
-        &self,
-        id: usize,
-        s: f64,
-    ) -> Result<Vec<(f32, u64)>, SnapshotError> {
-        match self.sketch(id, QueryKind::SlidingFrequency)? {
-            QuerySketch::SlidingFrequency(f) => Ok(f.heavy_hitters(s)),
-            _ => unreachable!("kind table matches sketch layout"),
-        }
-    }
-
-    /// Answers a typed [`QueryRequest`]: the snapshot-side mirror of
-    /// [`crate::StreamEngine::request`]. Unlike the engine method, a kind
-    /// mismatch is an error, not a panic — serving layers pass requests
-    /// straight off the wire.
+    /// Answers a typed [`QueryRequest`] — the snapshot's only query path,
+    /// and the mirror of [`StreamEngine::request`]. Unlike the engine
+    /// method, a kind mismatch is an error, not a panic — serving layers
+    /// pass requests straight off the wire.
     ///
     /// # Errors
     ///
@@ -262,42 +133,20 @@ impl EngineSnapshot {
     ///
     /// # Panics
     ///
-    /// Panics (in the summary) on out-of-range support parameters.
+    /// Panics (in the summary) on out-of-range parameters.
     pub fn request(&self, id: usize, req: QueryRequest) -> Result<QueryAnswer, SnapshotError> {
-        match req {
-            QueryRequest::Quantile { phi } => self.quantile(id, phi).map(QueryAnswer::Quantile),
-            QueryRequest::HeavyHitters { support } => self
-                .heavy_hitters(id, support)
-                .map(QueryAnswer::HeavyHitters),
-            QueryRequest::Hhh { support } => self.hhh(id, support).map(QueryAnswer::Hhh),
-            QueryRequest::SlidingQuantile { phi } => {
-                self.sliding_quantile(id, phi).map(QueryAnswer::Quantile)
-            }
-            QueryRequest::SlidingFrequency { support } => self
-                .sliding_heavy_hitters(id, support)
-                .map(QueryAnswer::HeavyHitters),
-        }
-    }
-
-    /// Generic interface: `param` is φ for quantile kinds, the support `s`
-    /// otherwise — the untyped wrapper that maps the registered kind onto
-    /// its [`QueryRequest`] variant and delegates to [`Self::request`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::UnknownQuery`], or [`SnapshotError::Empty`] for
-    /// quantile kinds before the first sealed window.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in the summary) on out-of-range support parameters.
-    pub fn answer(&self, id: usize, param: f64) -> Result<QueryAnswer, SnapshotError> {
-        let kind = self
-            .kinds
+        let sketch = self
+            .sketches
             .get(id)
-            .copied()
             .ok_or(SnapshotError::UnknownQuery(id))?;
-        self.request(id, QueryRequest::from_kind(kind, param))
+        // Quantile summaries cannot rank an empty stream. A request of the
+        // wrong kind falls through so it is reported as such.
+        let kind = sketch.kind();
+        let ranks = kind == QueryKind::Quantile || kind == QueryKind::SlidingQuantile;
+        if ranks && self.windows_sealed == 0 && req.kind() == kind {
+            return Err(SnapshotError::Empty);
+        }
+        sketch.answer(req)
     }
 }
 
@@ -345,5 +194,302 @@ impl SnapshotRegistry {
         *slot = Some(Arc::new(snap));
         self.epoch.store(epoch, Ordering::Release);
         epoch
+    }
+}
+
+impl StreamEngine {
+    /// Turns the engine into a serving source: seals the pipeline, installs
+    /// a [`SnapshotRegistry`], publishes the initial snapshot, and returns
+    /// the registry handle for readers (e.g. `gsm_serve::QueryServer`).
+    /// From here on, every [`crate::EngineBuilder::publish_every`]-th
+    /// sealed window publishes a fresh snapshot. Idempotent — repeated
+    /// calls return the same registry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no queries are registered.
+    pub fn serve(&mut self) -> Arc<SnapshotRegistry> {
+        self.seal();
+        if let Some(reg) = &self.registry {
+            return Arc::clone(reg);
+        }
+        let reg = Arc::new(SnapshotRegistry::new());
+        self.registry = Some(Arc::clone(&reg));
+        self.publish_now();
+        reg
+    }
+
+    /// Publishes a snapshot immediately if serving (no-op otherwise).
+    /// Never flushes: the snapshot covers sealed windows only, so
+    /// publication cannot move window boundaries or change any answer.
+    pub fn publish_now(&mut self) {
+        let Some(registry) = self.registry.clone() else {
+            return;
+        };
+        let snap = self.build_snapshot();
+        let epoch = registry.publish(snap);
+        self.published_windows = self.sealed().windows_sorted();
+        if self.obs.is_enabled() {
+            self.obs.count("dsms_snapshots_published", 1);
+            self.obs.gauge_set("dsms_snapshot_epoch", epoch as i64);
+            self.obs.record_event(gsm_obs::EngineEvent::Publish {
+                epoch,
+                windows_sealed: self.published_windows,
+            });
+        }
+    }
+
+    /// The publication hook: publish when enough windows sealed since the
+    /// last snapshot. A single branch when not serving; one more plus a
+    /// per-shard counter read per window-boundary chunk while serving.
+    pub(crate) fn maybe_publish(&mut self) {
+        if self.registry.is_some()
+            && self.sealed().windows_sorted() >= self.published_windows + self.publish_every
+        {
+            self.publish_now();
+        }
+    }
+
+    /// Clones + merges the absorbed summary state into an immutable
+    /// snapshot. Shard 0 is cloned and the remaining shards fold in
+    /// sketch-by-sketch — the same merge order as the `merged_sink` behind
+    /// [`Self::request`], so snapshot answers are byte-identical to direct
+    /// answers over the same sealed windows. Merge work is charged to a
+    /// local counter (surfaced as `dsms_snapshot_merge_ops`), not the
+    /// pipeline's merge ledger, which continues to meter query-time merges
+    /// only.
+    fn build_snapshot(&self) -> EngineSnapshot {
+        let pipeline = self.sealed();
+        let mut sketches = pipeline.shard(0).sink().sketches.clone();
+        if pipeline.shard_count() > 1 {
+            let mut ops = OpCounter::default();
+            for shard in &pipeline.shards()[1..] {
+                for (mine, theirs) in sketches.iter_mut().zip(&shard.sink().sketches) {
+                    mine.merge_from(theirs, &mut ops);
+                }
+            }
+            if self.obs.is_enabled() {
+                self.obs.count("dsms_snapshot_merge_ops", ops.total());
+                // Cross-shard merges widen the frequency undercount bound
+                // relative to a single-shard run (DESIGN §10) — worth a
+                // flight-recorder mark every time it happens.
+                self.obs
+                    .record_event(gsm_obs::EngineEvent::MergeBoundWidened {
+                        queries: sketches.len(),
+                        shards: pipeline.shard_count(),
+                    });
+            }
+        }
+        EngineSnapshot {
+            epoch: 0, // assigned by the registry at publication
+            pushed: self.count,
+            absorbed: self.count - pipeline.unabsorbed(),
+            window: pipeline.window(),
+            windows_sealed: pipeline.windows_sorted(),
+            sketches,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_support::{engine, mixed_stream, ramp};
+    use crate::EngineBuilder;
+    use gsm_core::{BitPrefixHierarchy, Engine};
+    use gsm_obs::Recorder;
+
+    const MEDIAN: QueryRequest = QueryRequest::Quantile { phi: 0.5 };
+
+    #[test]
+    fn serving_engine_records_publish_and_merge_flight_events() {
+        let rec = Recorder::enabled();
+        let mut eng = EngineBuilder::new(Engine::Host)
+            .n_hint(8192)
+            .shards(2)
+            .publish_every(2)
+            .recorder(rec.clone())
+            .build()
+            .expect("valid configuration");
+        let _ = eng.register_quantile(0.05);
+        let registry = eng.serve();
+        eng.push_batch(&mixed_stream(8192, 11));
+        eng.flush();
+        eng.publish_now();
+        assert!(registry.epoch() >= 1);
+
+        let events = rec.flight_events();
+        let publishes: Vec<_> = events
+            .iter()
+            .filter_map(|e| match e.event {
+                gsm_obs::EngineEvent::Publish { epoch, .. } => Some(epoch),
+                _ => None,
+            })
+            .collect();
+        assert!(!publishes.is_empty());
+        // Epochs in the ring are strictly increasing and end at the
+        // registry's current epoch.
+        assert!(publishes.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(*publishes.last().unwrap(), registry.epoch());
+        // Two shards means every published snapshot required a cross-shard
+        // merge, which widens the frequency bound — recorded as an event.
+        assert!(events.iter().any(|e| matches!(
+            e.event,
+            gsm_obs::EngineEvent::MergeBoundWidened {
+                queries: 1,
+                shards: 2
+            }
+        )));
+    }
+
+    #[test]
+    fn snapshot_answers_match_direct_answers_byte_for_byte() {
+        for engine in Engine::ALL {
+            for shards in [1, 3] {
+                let mut eng = EngineBuilder::new(engine)
+                    .n_hint(30_000)
+                    .shards(shards)
+                    .build()
+                    .expect("valid configuration");
+                let q = eng.register_quantile(0.02);
+                let f = eng.register_frequency(0.001);
+                let h = eng.register_hhh(0.001, BitPrefixHierarchy::new(vec![4, 8]));
+                let sq = eng.register_sliding_quantile(0.05, 4_000);
+                let sf = eng.register_sliding_frequency(0.05, 4_000);
+                let reg = eng.serve();
+                eng.push_batch(&mixed_stream(30_000, 41));
+                // Flush, then publish so snapshot and direct query cover
+                // exactly the same sealed windows.
+                eng.flush();
+                eng.publish_now();
+                let snap = reg.latest().expect("published");
+                assert_eq!(snap.pushed(), 30_000);
+                assert_eq!(snap.absorbed(), 30_000, "flush sealed everything");
+                for (id, req) in [
+                    (q, QueryRequest::Quantile { phi: 0.5 }),
+                    (f, QueryRequest::HeavyHitters { support: 0.01 }),
+                    (h, QueryRequest::Hhh { support: 0.1 }),
+                    (sq, QueryRequest::SlidingQuantile { phi: 0.5 }),
+                    (sf, QueryRequest::SlidingFrequency { support: 0.2 }),
+                ] {
+                    let ctx = format!("{engine:?} k={shards} {req:?}");
+                    let served = snap.request(id.index(), req).expect("snapshot answers");
+                    let direct = eng.request(id, req);
+                    if let (QueryAnswer::Quantile(s), QueryAnswer::Quantile(d)) = (&served, &direct)
+                    {
+                        assert_eq!(s.to_bits(), d.to_bits(), "{ctx}");
+                    }
+                    assert_eq!(served, direct, "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn publication_follows_window_seals_without_flushing() {
+        let mut eng = engine(Engine::Host, 10_000);
+        let q = eng.register_quantile(0.02);
+        let reg = eng.serve();
+        // Initial publication: epoch 1, nothing sealed, quantile empty.
+        assert_eq!(reg.epoch(), 1);
+        let first = reg.latest().expect("initial snapshot");
+        assert_eq!(first.windows_sealed(), 0);
+        assert_eq!(
+            first.request(q.index(), MEDIAN),
+            Err(SnapshotError::Empty),
+            "no sealed window yet"
+        );
+
+        // 1023 elements: still mid-window, no new publication.
+        eng.push_batch(&ramp(1023));
+        assert_eq!(reg.epoch(), 1);
+        // One more element seals window 1 and publishes epoch 2 — without
+        // absorbing the (empty) partial buffer.
+        eng.push_batch(&[1023.0]);
+        assert_eq!(reg.epoch(), 2);
+        let snap = reg.latest().expect("published");
+        assert_eq!(snap.windows_sealed(), 1);
+        assert_eq!(snap.pushed(), 1024);
+        assert_eq!(snap.absorbed(), 1024);
+        assert!(snap.request(q.index(), MEDIAN).is_ok());
+
+        // A partial tail is visible in pushed() but not absorbed().
+        eng.push_batch(&ramp(100));
+        eng.publish_now();
+        let snap = reg.latest().expect("published");
+        assert_eq!(snap.pushed(), 1124);
+        assert_eq!(snap.absorbed(), 1024, "publication never flushes");
+    }
+
+    #[test]
+    fn publish_cadence_batches_seals() {
+        let mut eng = EngineBuilder::new(Engine::Host)
+            .n_hint(10_000)
+            .publish_every(4)
+            .build()
+            .expect("valid configuration");
+        let _ = eng.register_quantile(0.02);
+        let reg = eng.serve();
+        eng.push_batch(&ramp(3 * 1024));
+        assert_eq!(reg.epoch(), 1, "3 seals < cadence 4");
+        eng.push_batch(&ramp(1024));
+        assert_eq!(reg.epoch(), 2, "4th seal publishes");
+    }
+
+    #[test]
+    fn snapshot_rejects_wrong_kind_and_unknown_queries() {
+        let mut eng = EngineBuilder::new(Engine::Host)
+            .build()
+            .expect("valid configuration");
+        let q = eng.register_quantile(0.02);
+        let reg = eng.serve();
+        eng.push_batch(&ramp(2048));
+        let snap = reg.latest().expect("published");
+        assert_eq!(
+            snap.request(q.index(), QueryRequest::HeavyHitters { support: 0.01 }),
+            Err(SnapshotError::WrongKind {
+                asked: QueryKind::Frequency,
+                actual: QueryKind::Quantile,
+            })
+        );
+        assert_eq!(
+            snap.request(99, MEDIAN),
+            Err(SnapshotError::UnknownQuery(99))
+        );
+        assert_eq!(snap.kind(q.index()), Some(QueryKind::Quantile));
+        assert_eq!(snap.kind(99), None);
+        assert_eq!(snap.query_count(), 1);
+    }
+
+    #[test]
+    fn held_snapshot_survives_later_publications() {
+        let mut eng = engine(Engine::Host, 10_000);
+        let q = eng.register_quantile(0.02);
+        let reg = eng.serve();
+        eng.push_batch(&ramp(1024));
+        let old = reg.latest().expect("epoch 2");
+        let old_median = old.request(q.index(), MEDIAN).unwrap();
+        eng.push_batch(&(0..4096).map(|i| (i % 10) as f32).collect::<Vec<f32>>());
+        assert!(reg.epoch() > old.epoch(), "newer snapshots published");
+        // The held snapshot still answers, unchanged.
+        assert_eq!(old.request(q.index(), MEDIAN).unwrap(), old_median);
+        assert!(reg.latest().expect("latest").epoch() > old.epoch());
+    }
+
+    #[test]
+    fn serve_is_idempotent_and_observable() {
+        let rec = Recorder::enabled();
+        let mut eng = EngineBuilder::new(Engine::Host)
+            .n_hint(10_000)
+            .recorder(rec.clone())
+            .build()
+            .expect("valid configuration");
+        let _ = eng.register_quantile(0.02);
+        let reg1 = eng.serve();
+        let reg2 = eng.serve();
+        assert!(Arc::ptr_eq(&reg1, &reg2), "serve() returns one registry");
+        eng.push_batch(&ramp(2048));
+        assert_eq!(rec.counter("dsms_snapshots_published"), 3); // initial + 2 seals
+        assert_eq!(rec.gauge("dsms_snapshot_epoch").unwrap().current, 3);
     }
 }

@@ -33,7 +33,7 @@
 //! last engine events (seals, publishes, any panics) are inspectable.
 
 use gsm_core::Engine;
-use gsm_dsms::StreamEngine;
+use gsm_dsms::EngineBuilder;
 use gsm_obs::{Recorder, SloSpec};
 use gsm_serve::{AdminServer, AdminSources, QueryServer, ServeConfig, TcpFront};
 
@@ -49,11 +49,13 @@ fn main() {
 
     let shards = 2;
     let rec = Recorder::enabled();
-    let mut eng = StreamEngine::new(Engine::ParallelHost)
-        .with_n_hint(elements)
-        .with_shards(shards)
-        .with_publish_every(4)
-        .with_recorder(rec.clone());
+    let mut eng = EngineBuilder::new(Engine::ParallelHost)
+        .n_hint(elements)
+        .shards(shards)
+        .publish_every(4)
+        .recorder(rec.clone())
+        .build()
+        .expect("valid configuration");
     let q = eng.register_quantile(0.01);
     let f = eng.register_frequency(0.001);
     let sq = eng.register_sliding_quantile(0.05, 1 << 16);
@@ -108,14 +110,21 @@ fn main() {
     // query families something to find.
     println!("ingesting {elements} elements ...");
     let mut state = 0x9e3779b97f4a7c15u64;
-    for _ in 0..elements {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-        let v = if state % 5 == 0 {
-            (state >> 32) % 16
-        } else {
-            (state >> 32) % 65_536
-        };
-        eng.push(v as f32);
+    let mut batch = Vec::with_capacity(8192);
+    let mut remaining = elements;
+    while remaining > 0 {
+        batch.clear();
+        for _ in 0..remaining.min(8192) {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let v = if state % 5 == 0 {
+                (state >> 32) % 16
+            } else {
+                (state >> 32) % 65_536
+            };
+            batch.push(v as f32);
+        }
+        remaining -= batch.len() as u64;
+        eng.push_batch(&batch);
     }
     eng.flush();
     eng.publish_now();

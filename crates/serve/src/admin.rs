@@ -291,7 +291,7 @@ mod tests {
     use super::*;
     use crate::server::{QueryServer, Request, ServeConfig};
     use gsm_core::Engine;
-    use gsm_dsms::StreamEngine;
+    use gsm_dsms::EngineBuilder;
 
     /// Minimal HTTP/1.0 GET, returning (status line, body).
     pub(crate) fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
@@ -338,7 +338,10 @@ mod tests {
     #[test]
     fn status_reflects_the_live_server() {
         let rec = Recorder::enabled();
-        let mut eng = StreamEngine::new(Engine::Host).with_n_hint(20_000);
+        let mut eng = EngineBuilder::new(Engine::Host)
+            .n_hint(20_000)
+            .build()
+            .expect("valid configuration");
         let q = eng.register_quantile(0.02);
         let reg = eng.serve();
         let server =
@@ -372,7 +375,8 @@ mod tests {
         let (_, before) = http_get(addr, "/status");
         assert!(before.contains("\"serving\":true"));
 
-        eng.push_all((0..20_000).map(|i| (i % 100) as f32));
+        let stream: Vec<f32> = (0..20_000).map(|i| (i % 100) as f32).collect();
+        eng.push_batch(&stream);
         eng.flush();
         eng.publish_now();
         let _ = server.client().call(Request::Quantile {

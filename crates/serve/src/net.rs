@@ -259,7 +259,7 @@ mod tests {
     use super::*;
     use crate::server::{QueryServer, ServeConfig};
     use gsm_core::Engine;
-    use gsm_dsms::StreamEngine;
+    use gsm_dsms::EngineBuilder;
     use std::io::{BufRead, BufReader};
 
     fn call(addr: SocketAddr, lines: &[&str]) -> Vec<String> {
@@ -280,11 +280,15 @@ mod tests {
 
     #[test]
     fn tcp_round_trip_speaks_the_protocol() {
-        let mut eng = StreamEngine::new(Engine::Host).with_n_hint(20_000);
+        let mut eng = EngineBuilder::new(Engine::Host)
+            .n_hint(20_000)
+            .build()
+            .expect("valid configuration");
         let q = eng.register_quantile(0.02);
         let f = eng.register_frequency(0.001);
         let server = QueryServer::start(eng.serve(), ServeConfig::default());
-        eng.push_all((0..20_000).map(|i| (i % 100) as f32));
+        let stream: Vec<f32> = (0..20_000).map(|i| (i % 100) as f32).collect();
+        eng.push_batch(&stream);
         eng.flush();
         eng.publish_now();
         let front = TcpFront::bind(server.client(), "127.0.0.1:0").expect("bind");
@@ -346,7 +350,9 @@ mod tests {
 
     #[test]
     fn front_shuts_down_cleanly_with_open_connections() {
-        let mut eng = StreamEngine::new(Engine::Host);
+        let mut eng = EngineBuilder::new(Engine::Host)
+            .build()
+            .expect("valid configuration");
         let _ = eng.register_quantile(0.02);
         let server = QueryServer::start(eng.serve(), ServeConfig::default());
         let front = TcpFront::bind(server.client(), "127.0.0.1:0").expect("bind");

@@ -387,14 +387,15 @@ fn execute_one(inner: &Inner, request: &Request, trace: TraceCtx) -> Reply {
 ///
 /// ```
 /// use gsm_core::Engine;
-/// use gsm_dsms::StreamEngine;
+/// use gsm_dsms::EngineBuilder;
 /// use gsm_serve::{QueryServer, Request, Reply, ServeConfig};
 ///
-/// let mut eng = StreamEngine::new(Engine::Host);
+/// let mut eng = EngineBuilder::new(Engine::Host).build().expect("valid configuration");
 /// let q = eng.register_quantile(0.02);
 /// let server = QueryServer::start(eng.serve(), ServeConfig::default());
 /// let client = server.client();
-/// eng.push_all((0..4096).map(|i| i as f32));
+/// let stream: Vec<f32> = (0..4096).map(|i| i as f32).collect();
+/// eng.push_batch(&stream);
 /// match client.call(Request::Quantile { query: q.index(), phi: 0.5 }) {
 ///     Reply::Answer { answer, .. } => println!("median ≈ {answer:?}"),
 ///     other => println!("{other:?}"),
@@ -570,14 +571,18 @@ impl Client {
 mod tests {
     use super::*;
     use gsm_core::Engine;
-    use gsm_dsms::StreamEngine;
+    use gsm_dsms::{EngineBuilder, StreamEngine};
 
     fn serving_engine(n: usize) -> (StreamEngine, usize, usize, Arc<SnapshotRegistry>) {
-        let mut eng = StreamEngine::new(Engine::Host).with_n_hint(n as u64);
+        let mut eng = EngineBuilder::new(Engine::Host)
+            .n_hint(n as u64)
+            .build()
+            .expect("valid configuration");
         let q = eng.register_quantile(0.02);
         let f = eng.register_frequency(0.001);
         let reg = eng.serve();
-        eng.push_all((0..n).map(|i| (i % 100) as f32));
+        let stream: Vec<f32> = (0..n).map(|i| (i % 100) as f32).collect();
+        eng.push_batch(&stream);
         eng.flush();
         eng.publish_now();
         (eng, q.index(), f.index(), reg)
@@ -592,10 +597,8 @@ mod tests {
         match client.call(Request::Quantile { query: q, phi: 0.5 }) {
             Reply::Answer { epoch, answer } => {
                 assert_eq!(epoch, snap.epoch());
-                assert_eq!(
-                    answer,
-                    QueryAnswer::Quantile(snap.quantile(q, 0.5).unwrap())
-                );
+                let direct = snap.request(q, QueryRequest::Quantile { phi: 0.5 });
+                assert_eq!(answer, direct.unwrap());
             }
             other => panic!("expected an answer, got {other:?}"),
         }
@@ -604,10 +607,8 @@ mod tests {
             support: 0.009,
         }) {
             Reply::Answer { answer, .. } => {
-                assert_eq!(
-                    answer,
-                    QueryAnswer::HeavyHitters(snap.heavy_hitters(f, 0.009).unwrap())
-                );
+                let direct = snap.request(f, QueryRequest::HeavyHitters { support: 0.009 });
+                assert_eq!(answer, direct.unwrap());
             }
             other => panic!("expected an answer, got {other:?}"),
         }
@@ -657,7 +658,9 @@ mod tests {
 
     #[test]
     fn unpublished_registry_answers_not_ready() {
-        let mut eng = StreamEngine::new(Engine::Host);
+        let mut eng = EngineBuilder::new(Engine::Host)
+            .build()
+            .expect("valid configuration");
         let q = eng.register_quantile(0.02);
         let reg = eng.serve();
         // Published, but nothing sealed: quantiles have no data.

@@ -1,14 +1,14 @@
-//! The scalar-vs-batch ingest identity verifier.
+//! The batch-partition ingest identity verifier.
 //!
-//! The batched ingest plane (`StreamEngine::push_batch`) promises byte
-//! identity with the scalar `push` loop: same window seals, same
-//! checkpoints, same answers, no matter how the caller slices the stream
-//! into batches. This module certifies that promise the same way the
-//! other drivers certify theirs — differentially. One adversarial stream
-//! is ingested twice per cell, once element-at-a-time and once in
-//! fixed-size batches, across engines × shard counts × adversarial batch
-//! lengths, and both the answer fingerprints (all five query kinds) and
-//! the full checkpoint envelopes must match byte for byte.
+//! The engine's one ingest door (`StreamEngine::push_batch`) promises that
+//! the result does not depend on how the caller slices the stream into
+//! batches: same window seals, same checkpoints, same answers. This
+//! module certifies that promise the same way the other drivers certify
+//! theirs — differentially. One adversarial stream is ingested twice per
+//! cell, once element-at-a-time (length-1 batches, the reference) and once
+//! in fixed-size batches, across engines × shard counts × adversarial
+//! batch lengths, and both the answer fingerprints (all five query kinds)
+//! and the full checkpoint envelopes must match byte for byte.
 //!
 //! The audited batch lengths are the boundary-adversarial set: `1` (the
 //! degenerate batch), `7` (never aligns with a window), `window` (always
@@ -16,7 +16,7 @@
 //! (spans several seals per call).
 
 use gsm_core::Engine;
-use gsm_dsms::{QueryId, StreamEngine};
+use gsm_dsms::{EngineBuilder, QueryId, QueryRequest, StreamEngine};
 
 use crate::diff::{EngineRun, Fnv, VerifyConfig};
 use crate::gen::StreamSpec;
@@ -35,11 +35,11 @@ pub struct BatchRun {
     pub batch: usize,
     /// Engine label and the batched run's answer fingerprint.
     pub run: EngineRun,
-    /// Whether the batched answers matched the scalar reference byte for
-    /// byte.
-    pub answers_match: bool,
-    /// Whether the batched checkpoint envelope matched the scalar
+    /// Whether the batched answers matched the element-at-a-time
     /// reference byte for byte.
+    pub answers_match: bool,
+    /// Whether the batched checkpoint envelope matched the
+    /// element-at-a-time reference byte for byte.
     pub checkpoint_matches: bool,
 }
 
@@ -77,13 +77,13 @@ impl BatchedFamilyOutcome {
         for r in &self.runs {
             if !r.answers_match {
                 out.push(format!(
-                    "{} {} k={} batch={}: batched answers diverged from scalar ({:#x})",
+                    "{} {} k={} batch={}: batched answers diverged from element-at-a-time ({:#x})",
                     self.family, r.run.engine, r.shards, r.batch, r.run.fingerprint
                 ));
             }
             if !r.checkpoint_matches {
                 out.push(format!(
-                    "{} {} k={} batch={}: batched checkpoint diverged from scalar",
+                    "{} {} k={} batch={}: batched checkpoint diverged from element-at-a-time",
                     self.family, r.run.engine, r.shards, r.batch
                 ));
             }
@@ -100,16 +100,18 @@ struct RunResult {
 }
 
 /// Builds an engine with all five query kinds registered — the same
-/// configuration for the scalar and the batched side of every cell.
+/// configuration for the reference and the batched side of every cell.
 fn build_engine(
     engine: Engine,
     cfg: &VerifyConfig,
     n: usize,
     shards: usize,
 ) -> (StreamEngine, [QueryId; 5]) {
-    let mut eng = StreamEngine::new(engine)
-        .with_n_hint(n as u64)
-        .with_shards(shards);
+    let mut eng = EngineBuilder::new(engine)
+        .n_hint(n as u64)
+        .shards(shards)
+        .build()
+        .expect("shard counts are positive");
     let sq_width = (n / 4).max((2.0 / cfg.sliding_eps).ceil() as usize);
     let sf_width = (n / 4).max((4.0 / cfg.sliding_eps).ceil() as usize);
     let ids = [
@@ -133,13 +135,23 @@ fn drain(mut eng: StreamEngine, ids: [QueryId; 5], cfg: &VerifyConfig) -> RunRes
     let mut h = Fnv::new();
     for &phi in &cfg.phis {
         h.u64(phi.to_bits());
-        h.f32(eng.quantile(ids[0], phi));
+        h.f32(
+            eng.request(ids[0], QueryRequest::Quantile { phi })
+                .into_quantile(),
+        );
     }
-    for (v, c) in eng.heavy_hitters(ids[1], cfg.support) {
+    let support = cfg.support;
+    for (v, c) in eng
+        .request(ids[1], QueryRequest::HeavyHitters { support })
+        .into_heavy_hitters()
+    {
         h.f32(v);
         h.u64(c);
     }
-    for e in eng.hhh(ids[2], cfg.support) {
+    for e in eng
+        .request(ids[2], QueryRequest::Hhh { support })
+        .into_hhh()
+    {
         h.u64(e.level as u64);
         h.f32(e.prefix);
         h.u64(e.discounted_count);
@@ -147,9 +159,16 @@ fn drain(mut eng: StreamEngine, ids: [QueryId; 5], cfg: &VerifyConfig) -> RunRes
     }
     for &phi in &cfg.phis {
         h.u64(phi.to_bits());
-        h.f32(eng.sliding_quantile(ids[3], phi));
+        h.f32(
+            eng.request(ids[3], QueryRequest::SlidingQuantile { phi })
+                .into_quantile(),
+        );
     }
-    for (v, c) in eng.sliding_heavy_hitters(ids[4], cfg.support + cfg.sliding_eps) {
+    let support = cfg.support + cfg.sliding_eps;
+    for (v, c) in eng
+        .request(ids[4], QueryRequest::SlidingFrequency { support })
+        .into_heavy_hitters()
+    {
         h.f32(v);
         h.u64(c);
     }
@@ -159,13 +178,13 @@ fn drain(mut eng: StreamEngine, ids: [QueryId; 5], cfg: &VerifyConfig) -> RunRes
     }
 }
 
-/// Certifies scalar-vs-batch ingest identity for one adversarial stream:
+/// Certifies batch-partition ingest identity for one adversarial stream:
 /// every configured engine × every shard count in `shard_counts` × the
-/// [`canonical_batch_sizes`] of the sealed window. The scalar reference
-/// is ingested through the public `push` loop; each batched run slices
-/// the identical stream into fixed-length [`StreamEngine::push_batch`]
-/// calls. Answers (all five query kinds) and checkpoint envelopes must
-/// match byte for byte.
+/// [`canonical_batch_sizes`] of the sealed window. The reference is
+/// ingested one element per [`StreamEngine::push_batch`] call; each
+/// batched run slices the identical stream into fixed-length calls.
+/// Answers (all five query kinds) and checkpoint envelopes must match
+/// byte for byte.
 pub fn verify_family_batched(
     spec: &StreamSpec,
     cfg: &VerifyConfig,
@@ -178,12 +197,12 @@ pub fn verify_family_batched(
     let mut window = 0usize;
     for &engine in &cfg.engines {
         for &k in shard_counts {
-            let (mut scalar, qids) = build_engine(engine, cfg, ids.len(), k);
-            for &v in &ids {
-                scalar.push(v);
+            let (mut single, qids) = build_engine(engine, cfg, ids.len(), k);
+            for v in ids.chunks(1) {
+                single.push_batch(v);
             }
-            window = scalar.window();
-            let reference = drain(scalar, qids, cfg);
+            window = single.window();
+            let reference = drain(single, qids, cfg);
             for batch in canonical_batch_sizes(window) {
                 let (mut batched, qids) = build_engine(engine, cfg, ids.len(), k);
                 for chunk in ids.chunks(batch) {

@@ -25,7 +25,7 @@
 use std::path::PathBuf;
 
 use gsm_core::Engine;
-use gsm_dsms::{DurableOptions, StreamEngine};
+use gsm_dsms::{DurableOptions, EngineBuilder, QueryRequest, StreamEngine};
 use gsm_durable::{CheckpointPolicy, Fault, FaultPlan, FsyncPolicy};
 use gsm_obs::Recorder;
 
@@ -185,10 +185,20 @@ fn fingerprint(
     h.u64(eng.count());
     for &phi in &cfg.phis {
         h.u64(phi.to_bits());
-        h.f32(eng.quantile(q, phi));
-        h.f32(eng.sliding_quantile(sq, phi));
+        h.f32(
+            eng.request(q, QueryRequest::Quantile { phi })
+                .into_quantile(),
+        );
+        h.f32(
+            eng.request(sq, QueryRequest::SlidingQuantile { phi })
+                .into_quantile(),
+        );
     }
-    for (v, c) in eng.heavy_hitters(f, cfg.support) {
+    let support = cfg.support;
+    for (v, c) in eng
+        .request(f, QueryRequest::HeavyHitters { support })
+        .into_heavy_hitters()
+    {
         h.f32(v);
         h.u64(c);
     }
@@ -279,10 +289,11 @@ fn run_cell(
     // horizon and recovery must skip them.
     let truncate = fault != Fault::CrashBetweenCheckpointAndTruncate;
 
-    let mut eng = StreamEngine::new(engine)
-        .with_n_hint(data.len() as u64)
-        .with_shards(k)
-        .with_durability(durable_opts(&dir, dcfg, truncate))
+    let mut eng = EngineBuilder::new(engine)
+        .n_hint(data.len() as u64)
+        .shards(k)
+        .durability(durable_opts(&dir, dcfg, truncate))
+        .build()
         .expect("scratch durable dir");
     let ids = register_queries(&mut eng, cfg);
     eng.seal();
@@ -291,7 +302,7 @@ fn run_cell(
     // Crash late enough that at least two records exist — the injectors
     // need a victim besides the first record.
     let crash_at = ((data.len() as f64 * crash_frac) as usize).clamp(2 * window, data.len());
-    eng.push_all(data[..crash_at].iter().copied());
+    eng.push_batch(&data[..crash_at]);
     drop(eng); // the kill: no shutdown hook, the pending tail is lost
 
     let salt = (spec.seed << 16) ^ cell;
@@ -310,13 +321,14 @@ fn run_cell(
 
     // Uncrashed reference over exactly the recovered prefix, same
     // checkpoint cadence (same flush schedule), clean directory.
-    let mut reference = StreamEngine::new(engine)
-        .with_n_hint(data.len() as u64)
-        .with_shards(k)
-        .with_durability(durable_opts(&ref_dir, dcfg, true))
+    let mut reference = EngineBuilder::new(engine)
+        .n_hint(data.len() as u64)
+        .shards(k)
+        .durability(durable_opts(&ref_dir, dcfg, true))
+        .build()
         .expect("scratch reference dir");
     let ref_ids = register_queries(&mut reference, cfg);
-    reference.push_all(data[..recovered_count as usize].iter().copied());
+    reference.push_batch(&data[..recovered_count as usize]);
     let fingerprint_reference = fingerprint(&mut reference, ref_ids, cfg);
 
     let detection_ok = if injection.mutated {

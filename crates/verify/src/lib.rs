@@ -27,7 +27,7 @@
 //!   recovered; recovered answers must fingerprint byte-identically to an
 //!   uncrashed run over the recovered prefix, and every injected
 //!   corruption must be detected, never silently replayed.
-//! - [`batch`] — the scalar-vs-batch ingest driver: the same stream is
+//! - [`batch`] — the batch-partition ingest driver: the same stream is
 //!   ingested element-at-a-time and in boundary-adversarial batch lengths
 //!   across engines × shard counts, and answers plus checkpoint envelopes
 //!   must match byte for byte (`StreamEngine::push_batch`'s identity

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use gsm_core::{BitPrefixHierarchy, Engine};
-use gsm_dsms::{QueryAnswer, StreamEngine};
+use gsm_dsms::{EngineBuilder, QueryAnswer, QueryRequest};
 use gsm_serve::{QueryServer, Reply, Request, ServeConfig};
 
 use crate::gen::StreamSpec;
@@ -141,16 +141,18 @@ pub fn verify_family_served(spec: &StreamSpec, engines: &[Engine]) -> ServeFamil
 }
 
 fn run_one(engine: Engine, shards: usize, ids: &[f32]) -> ServeRun {
-    let mut eng = StreamEngine::new(engine)
-        .with_n_hint(ids.len() as u64)
-        .with_shards(shards);
+    let mut eng = EngineBuilder::new(engine)
+        .n_hint(ids.len() as u64)
+        .shards(shards)
+        .build()
+        .expect("shard counts are positive");
     let q = eng.register_quantile(0.02);
     let f = eng.register_frequency(0.005);
     let h = eng.register_hhh(0.005, BitPrefixHierarchy::new(vec![4, 8]));
     let sq = eng.register_sliding_quantile(0.05, 4 * eng.window().max(1024));
     let sf = eng.register_sliding_frequency(0.05, 4 * eng.window().max(1024));
     let registry = eng.serve();
-    eng.push_all(ids.iter().copied());
+    eng.push_batch(ids);
     // Flush, then publish, so the snapshot and the direct engine answers
     // cover exactly the same sealed windows.
     eng.flush();
@@ -163,87 +165,28 @@ fn run_one(engine: Engine, shards: usize, ids: &[f32]) -> ServeRun {
     let mut mismatches = Vec::new();
     let mut compared = 0u64;
 
-    let phis = [0.01, 0.25, 0.5, 0.75, 0.99];
-    for &phi in &phis {
+    let mut requests = Vec::new();
+    for phi in [0.01, 0.25, 0.5, 0.75, 0.99] {
+        requests.push((q, QueryRequest::Quantile { phi }));
+        requests.push((sq, QueryRequest::SlidingQuantile { phi }));
+    }
+    requests.push((f, QueryRequest::HeavyHitters { support: 0.03 }));
+    requests.push((h, QueryRequest::Hhh { support: 0.03 }));
+    requests.push((sf, QueryRequest::SlidingFrequency { support: 0.1 }));
+    for (id, req) in requests {
         // Direct chain first: the engine's own answer must equal the
         // snapshot's, then the served reply must equal both.
-        let direct = eng.quantile(q, phi);
-        let via_snap = snap.quantile(q.index(), phi).expect("snapshot quantile");
-        if direct.to_bits() != via_snap.to_bits() {
+        let direct = eng.request(id, req);
+        let via_snap = snap.request(id.index(), req).expect("snapshot answer");
+        if !answers_equal(&via_snap, &direct) {
             mismatches.push(format!(
-                "quantile(phi={phi}): snapshot {via_snap} != engine {direct}"
+                "{req:?}: snapshot {via_snap:?} != engine {direct:?}"
             ));
         }
-        let served = client.call(Request::Quantile {
-            query: q.index(),
-            phi,
-        });
-        check(
-            &mut mismatches,
-            &format!("quantile(phi={phi})"),
-            served,
-            epoch,
-            &QueryAnswer::Quantile(direct),
-        );
-        compared += 1;
-
-        let direct = eng.sliding_quantile(sq, phi);
-        let served = client.call(Request::SlidingQuantile {
-            query: sq.index(),
-            phi,
-        });
-        check(
-            &mut mismatches,
-            &format!("sliding_quantile(phi={phi})"),
-            served,
-            epoch,
-            &QueryAnswer::Quantile(direct),
-        );
+        let served = client.call(Request::from_typed(id.index(), req));
+        check(&mut mismatches, &format!("{req:?}"), served, epoch, &direct);
         compared += 1;
     }
-
-    let support = 0.03;
-    let direct = eng.heavy_hitters(f, support);
-    let served = client.call(Request::HeavyHitters {
-        query: f.index(),
-        support,
-    });
-    check(
-        &mut mismatches,
-        "heavy_hitters",
-        served,
-        epoch,
-        &QueryAnswer::HeavyHitters(direct),
-    );
-    compared += 1;
-
-    let direct = eng.hhh(h, support);
-    let served = client.call(Request::Hhh {
-        query: h.index(),
-        support,
-    });
-    check(
-        &mut mismatches,
-        "hhh",
-        served,
-        epoch,
-        &QueryAnswer::Hhh(direct),
-    );
-    compared += 1;
-
-    let direct = eng.sliding_heavy_hitters(sf, 0.1);
-    let served = client.call(Request::SlidingHeavyHitters {
-        query: sf.index(),
-        support: 0.1,
-    });
-    check(
-        &mut mismatches,
-        "sliding_heavy_hitters",
-        served,
-        epoch,
-        &QueryAnswer::HeavyHitters(direct),
-    );
-    compared += 1;
 
     let stats = server.stats();
     drop(server);

@@ -8,7 +8,7 @@
 //! 1. **k = 1 is the identity.** One shard must produce answers
 //!    byte-identical to the unsharded [`replay`] pipeline — sharding is a
 //!    pure refactor until a second shard exists.
-//! 2. **The engine is the pipeline.** [`StreamEngine::with_shards`]
+//! 2. **The engine is the pipeline.** A sharded [`gsm_dsms::StreamEngine`]'s
 //!    answers are fingerprint-compared against summaries run directly on
 //!    [`ShardedPipeline`]s with the same hash routing — the DSMS layer may
 //!    not change a single answer byte, and the direct summaries expose the
@@ -25,7 +25,7 @@
 //! quantile contract holds on any input).
 
 use gsm_core::{replay, BitPrefixHierarchy, Engine, HhhEntry, ShardedPipeline};
-use gsm_dsms::StreamEngine;
+use gsm_dsms::{EngineBuilder, QueryRequest};
 use gsm_sketch::exact::ExactStats;
 use gsm_sketch::{ExpHistogram, HhhSummary, LossyCounting};
 
@@ -40,7 +40,7 @@ use crate::gen::StreamSpec;
 pub struct ShardRun {
     /// Shard count this run fanned across.
     pub shards: usize,
-    /// Per-engine fingerprints of the [`StreamEngine`] answers.
+    /// Per-engine fingerprints of the [`gsm_dsms::StreamEngine`] answers.
     pub engines: Vec<EngineRun>,
     /// Whether every engine produced byte-identical merged answers.
     pub cross_backend_agree: bool,
@@ -163,7 +163,7 @@ struct Ctx<'a> {
     probes: &'a [f32],
     hierarchy: &'a BitPrefixHierarchy,
     /// The shared window every engine seals to (the max of the query
-    /// minimums, mirroring [`StreamEngine::seal`]'s choice).
+    /// minimums, mirroring [`gsm_dsms::StreamEngine::seal`]'s choice).
     window: usize,
     /// Stream-length hint covering the whole stream.
     n_hint: u64,
@@ -185,27 +185,35 @@ impl Ctx<'_> {
 
 /// Runs the full DSMS path at shard count `k` and collects its answers.
 fn run_stream_engine(engine: Engine, ctx: &Ctx, k: usize) -> MergedAnswers {
-    let mut eng = StreamEngine::new(engine)
-        .with_n_hint(ctx.ids.len() as u64)
-        .with_shards(k);
+    let mut eng = EngineBuilder::new(engine)
+        .n_hint(ctx.ids.len() as u64)
+        .shards(k)
+        .build()
+        .expect("shard counts are positive");
     let q = eng.register_quantile(ctx.cfg.quantile_eps);
     let f = eng.register_frequency(ctx.cfg.frequency_eps);
     let h = eng.register_hhh(ctx.cfg.frequency_eps, ctx.hierarchy.clone());
-    eng.push_all(ctx.ids.iter().copied());
+    eng.push_batch(ctx.ids);
     assert_eq!(
         eng.window(),
         ctx.window,
         "the engine's sealed window must match the audit's assumption"
     );
+    let support = ctx.cfg.support;
     MergedAnswers {
         quantiles: ctx
             .cfg
             .phis
             .iter()
-            .map(|&phi| (phi, eng.quantile(q, phi)))
+            .map(|&phi| {
+                let answer = eng.request(q, QueryRequest::Quantile { phi });
+                (phi, answer.into_quantile())
+            })
             .collect(),
-        hh: eng.heavy_hitters(f, ctx.cfg.support),
-        hhh: eng.hhh(h, ctx.cfg.support),
+        hh: eng
+            .request(f, QueryRequest::HeavyHitters { support })
+            .into_heavy_hitters(),
+        hhh: eng.request(h, QueryRequest::Hhh { support }).into_hhh(),
     }
 }
 

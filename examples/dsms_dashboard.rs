@@ -7,7 +7,7 @@
 //! ```
 
 use gsm::core::{BitPrefixHierarchy, Engine};
-use gsm::dsms::{run_at_rate, StreamEngine};
+use gsm::dsms::{run_at_rate, EngineBuilder, QueryRequest, StreamEngine};
 use gsm::stream::ZipfGen;
 
 fn main() {
@@ -16,17 +16,23 @@ fn main() {
     let stream: Vec<f32> = ZipfGen::new(99, 4096, 1.1).take(n).collect();
 
     // One engine, three standing queries.
-    let mut eng = StreamEngine::new(Engine::GpuSim).with_n_hint(n as u64);
+    let dashboard = || -> StreamEngine {
+        EngineBuilder::new(Engine::GpuSim)
+            .n_hint(n as u64)
+            .build()
+            .expect("valid configuration")
+    };
+    let mut eng = dashboard();
     let latency_q = eng.register_quantile(0.001);
     let hot_pages = eng.register_frequency(0.0001);
     let hot_sections = eng.register_hhh(0.0001, BitPrefixHierarchy::new(vec![6]));
 
     // Find the capacity, then drive at twice that.
-    let mut probe = StreamEngine::new(Engine::GpuSim).with_n_hint(n as u64);
+    let mut probe = dashboard();
     let _ = probe.register_quantile(0.001);
     let _ = probe.register_frequency(0.0001);
     let _ = probe.register_hhh(0.0001, BitPrefixHierarchy::new(vec![6]));
-    probe.push_all(stream.iter().copied());
+    probe.push_batch(&stream);
     probe.flush();
     let capacity = probe.service_rate();
     println!(
@@ -51,16 +57,24 @@ fn main() {
 
     // The dashboard still answers, on the uniformly thinned sub-stream.
     println!("\n-- dashboard --");
-    println!("median page id: {}", eng.quantile(latency_q, 0.5));
-    println!("p99 page id:    {}", eng.quantile(latency_q, 0.99));
-    let hot = eng.heavy_hitters(hot_pages, 0.01);
+    let mut page_id = |phi| {
+        eng.request(latency_q, QueryRequest::Quantile { phi })
+            .into_quantile()
+    };
+    println!("median page id: {}", page_id(0.5));
+    println!("p99 page id:    {}", page_id(0.99));
+    let hot = eng
+        .request(hot_pages, QueryRequest::HeavyHitters { support: 0.01 })
+        .into_heavy_hitters();
     println!("pages above 1% of (kept) traffic: {}", hot.len());
     for &(page, count) in hot.iter().take(5) {
         // Uniform shedding scales counts by the keep fraction; rescale.
         let estimated_true = (count as f64 / report.keep_fraction) as u64;
         println!("  page {page:>6}  kept-count {count:>8}  est. true {estimated_true:>8}");
     }
-    let sections = eng.hhh(hot_sections, 0.05);
+    let sections = eng
+        .request(hot_sections, QueryRequest::Hhh { support: 0.05 })
+        .into_hhh();
     println!("sections above 5%: {}", sections.len());
     println!("\ntime split: {}", eng.breakdown());
 }

@@ -32,6 +32,14 @@ generate() {
         | LC_ALL=C sort
 }
 
+# Per-crate item counts, e.g. "dsms 86, serve 71, ..., facade 12" — the
+# surface is a metric that should go down, so every CI log shows where it
+# stands.
+per_crate() {
+    sed -E 's|^crates/([^/]+)/.*|\1|; s|^src/.*|facade|' "$1" | sort | uniq -c \
+        | awk '{printf "%s%s %d", sep, $2, $1; sep=", "} END {print ""}'
+}
+
 case "${1:-}" in
     "")
         generate
@@ -43,7 +51,7 @@ case "${1:-}" in
             echo "api_surface: review the diff above, then run: scripts/api_surface.sh --update" >&2
             exit 1
         fi
-        echo "api_surface: surface matches $SNAPSHOT ($(wc -l < "$SNAPSHOT") items)"
+        echo "api_surface: surface matches $SNAPSHOT ($(wc -l < "$SNAPSHOT") items: $(per_crate "$SNAPSHOT"))"
         ;;
     --update)
         mkdir -p "$(dirname "$SNAPSHOT")"

@@ -72,17 +72,13 @@ def throughputs(name, doc):
             out["wal-off ingest"] = float(doc["ingest_wal_off_eps"])
             out["wal-fsync ingest"] = float(doc["ingest_wal_fsync_eps"])
             out["recovery replay"] = float(doc["recovery_eps"])
-        elif name == "ingest":
-            for run in doc["runs"]:
-                mode = "scalar" if run["batch"] == 0 else f"batch={run['batch']}"
-                out[f"k={run['shards']} {mode}"] = float(run["throughput_eps"])
     except (KeyError, TypeError, ValueError) as exc:
         print(f"::error::BENCH_{name}: malformed throughput fields ({exc})")
         failures += 1
     return out
 
 
-for name in ("overlap", "shard", "serve", "obs_overhead", "recovery", "ingest"):
+for name in ("overlap", "shard", "serve", "obs_overhead", "recovery"):
     base_path = results / f"BENCH_{name}.json"
     ci_path = results / f"BENCH_{name}_ci.json"
     if not ci_path.exists():

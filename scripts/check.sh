@@ -30,15 +30,18 @@ run_step test cargo test -q
 run_step clippy cargo clippy --all-targets -- -D warnings
 run_step fmt cargo fmt --all --check
 run_step doc env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+# benchmark/ is a stand-alone package outside the workspace, so the steps
+# above cannot see an API change that breaks it.
+run_step bench-build cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo
-printf '%-10s %8s\n' step seconds
-printf '%-10s %8s\n' ---- -------
+printf '%-12s %8s\n' step seconds
+printf '%-12s %8s\n' ---- -------
 total=0
 for i in "${!STEP_NAMES[@]}"; do
-  printf '%-10s %8s\n' "${STEP_NAMES[$i]}" "${STEP_SECS[$i]}"
+  printf '%-12s %8s\n' "${STEP_NAMES[$i]}" "${STEP_SECS[$i]}"
   total=$((total + STEP_SECS[i]))
 done
-printf '%-10s %8s\n' total "${total}"
+printf '%-12s %8s\n' total "${total}"
 
 echo "tier-1 gate: OK"

@@ -1,33 +1,38 @@
-//! Golden-blob checkpoint compatibility: committed schema-1 (legacy flat)
-//! and schema-2 (sharded envelope) checkpoints under `tests/data/` must
-//! keep restoring on today's engine, byte-identically to a fresh engine
-//! fed the same stream — and `recover_from` must accept a durable
-//! directory seeded with a golden checkpoint and no WAL segments.
+//! Golden-blob checkpoint compatibility: committed schema-1 (legacy flat),
+//! schema-2 (sharded envelope) and schema-3 (WAL-aware envelope — the
+//! format written today) checkpoints under `tests/data/` must keep
+//! restoring on today's engine, byte-identically to a fresh engine fed the
+//! same stream — and `recover_from` must accept a durable directory seeded
+//! with a golden checkpoint and no WAL segments. The schema-3 blob also
+//! pins the write side: today's engine over the same recipe must produce
+//! it byte for byte.
 //!
-//! Both blobs were written by the engine versions that introduced their
-//! schema, over the recipe below; regenerating them on a newer engine
-//! would defeat the point of the test.
+//! Each blob was written by an engine version from before the codec that
+//! reads it today was refactored, over the recipe below; regenerating
+//! them on a newer engine would defeat the point of the test.
 
 use gsm::core::Engine;
-use gsm::dsms::{DurableOptions, QueryId, StreamEngine};
+use gsm::dsms::{DurableOptions, EngineBuilder, QueryId, QueryRequest, StreamEngine};
 use gsm::obs::Recorder;
 
 const PHIS: [f64; 5] = [0.01, 0.25, 0.5, 0.75, 0.99];
 
-/// The golden recipe both committed blobs were captured from (at shard
-/// counts 1 and 2): 2 500 elements of `(i * 37) % 101`.
-fn golden_stream() -> impl Iterator<Item = f32> {
-    (0..2500u32).map(|i| ((i * 37) % 101) as f32)
+/// The golden recipe the committed blobs were captured from (schema 1 at
+/// one shard, schemas 2 and 3 at two): 2 500 elements of `(i * 37) % 101`.
+fn golden_stream() -> Vec<f32> {
+    (0..2500u32).map(|i| ((i * 37) % 101) as f32).collect()
 }
 
 /// A fresh engine built exactly like the one the golden blobs came from.
 fn golden_reference(shards: usize) -> (StreamEngine, QueryId, QueryId) {
-    let mut eng = StreamEngine::new(Engine::Host)
-        .with_n_hint(5_000)
-        .with_shards(shards);
+    let mut eng = EngineBuilder::new(Engine::Host)
+        .n_hint(5_000)
+        .shards(shards)
+        .build()
+        .expect("valid configuration");
     let q = eng.register_quantile(0.02);
     let f = eng.register_frequency(0.01);
-    eng.push_all(golden_stream());
+    eng.push_batch(&golden_stream());
     (eng, q, f)
 }
 
@@ -43,16 +48,15 @@ fn assert_matches_reference(restored: &mut StreamEngine, shards: usize) {
     assert_eq!(restored.count(), 2500, "whole golden stream restored");
     assert_eq!(restored.count(), reference.count());
     for phi in PHIS {
+        let req = QueryRequest::Quantile { phi };
         assert_eq!(
-            restored.quantile(q, phi).to_bits(),
-            reference.quantile(q, phi).to_bits(),
+            restored.request(q, req).into_quantile().to_bits(),
+            reference.request(q, req).into_quantile().to_bits(),
             "phi={phi}"
         );
     }
-    assert_eq!(
-        restored.heavy_hitters(f, 0.02),
-        reference.heavy_hitters(f, 0.02)
-    );
+    let req = QueryRequest::HeavyHitters { support: 0.02 };
+    assert_eq!(restored.request(f, req), reference.request(f, req));
 }
 
 #[test]
@@ -67,6 +71,35 @@ fn schema2_sharded_blob_still_restores() {
     let mut restored =
         StreamEngine::restore(Engine::Host, &blob("ckpt_schema2.json")).expect("schema-2 blob");
     assert_matches_reference(&mut restored, 2);
+}
+
+/// The current write format is pinned like the old ones: the committed
+/// schema-3 blob restores, and today's engine over the golden recipe
+/// writes exactly those bytes.
+#[test]
+fn schema3_blob_restores_and_is_what_the_engine_writes() {
+    let golden = blob("ckpt_schema3.json");
+    let mut restored = StreamEngine::restore(Engine::Host, &golden).expect("schema-3 blob");
+    assert_matches_reference(&mut restored, 2);
+    let (mut reference, _, _) = golden_reference(2);
+    assert_eq!(reference.checkpoint(), golden, "write format drifted");
+}
+
+/// Upgrading is lossless: an old blob restored and re-checkpointed comes
+/// out as a schema-3 envelope that restores to the same answers.
+#[test]
+fn old_schemas_recheckpoint_as_schema3() {
+    for (name, shards) in [("ckpt_schema1.json", 1), ("ckpt_schema2.json", 2)] {
+        let mut old = StreamEngine::restore(Engine::Host, &blob(name)).expect(name);
+        let upgraded = old.checkpoint();
+        assert!(
+            upgraded.starts_with("{\"schema\":3,"),
+            "{name}: {upgraded:.40}"
+        );
+        let mut again = StreamEngine::restore(Engine::Host, &upgraded).expect("upgraded blob");
+        assert_eq!(again.shard_count(), shards, "{name}");
+        assert_matches_reference(&mut again, shards);
+    }
 }
 
 /// A durable directory seeded with a golden (pre-WAL) checkpoint and no
@@ -95,7 +128,8 @@ fn recover_from_accepts_golden_checkpoints() {
         assert_matches_reference(&mut recovered, shards);
 
         // The recovered engine logs new windows from sequence one.
-        recovered.push_all((0..1024).map(|i| i as f32));
+        let fresh: Vec<f32> = (0..1024).map(|i| i as f32).collect();
+        recovered.push_batch(&fresh);
         let segments: Vec<_> = std::fs::read_dir(&dir)
             .expect("dir")
             .filter_map(|e| e.ok())

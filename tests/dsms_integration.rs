@@ -2,7 +2,7 @@
 //! equivalence, and shedding behaviour end to end through the facade.
 
 use gsm::core::{BitPrefixHierarchy, Engine};
-use gsm::dsms::{run_at_rate, QueryAnswer, StreamEngine};
+use gsm::dsms::{run_at_rate, EngineBuilder, QueryRequest, StreamEngine};
 use gsm::sketch::exact::ExactStats;
 use gsm::stream::ZipfGen;
 
@@ -15,30 +15,33 @@ fn full_dashboard_on_every_engine() {
     let data = zipf(80_000, 3);
     let oracle = ExactStats::new(&data);
     for engine in [Engine::GpuSim, Engine::CpuSim, Engine::Host] {
-        let mut eng = StreamEngine::new(engine).with_n_hint(data.len() as u64);
+        let mut eng = EngineBuilder::new(engine)
+            .n_hint(data.len() as u64)
+            .build()
+            .expect("valid configuration");
         let q = eng.register_quantile(0.005);
         let f = eng.register_frequency(0.0005);
         let h = eng.register_hhh(0.0005, BitPrefixHierarchy::new(vec![5]));
-        eng.push_all(data.iter().copied());
+        eng.push_batch(&data);
 
         // Quantile within eps.
-        let med = eng.quantile(q, 0.5);
+        let med = eng
+            .request(q, QueryRequest::Quantile { phi: 0.5 })
+            .into_quantile();
         assert!(
             oracle.quantile_rank_error(0.5, med) <= 0.005,
             "{engine:?}: median {med}"
         );
         // Heavy hitters: rank 0 of the zipf law dominates.
-        let hot = eng.heavy_hitters(f, 0.02);
+        let hot = eng
+            .request(f, QueryRequest::HeavyHitters { support: 0.02 })
+            .into_heavy_hitters();
         assert!(hot.iter().any(|&(v, _)| v == 0.0), "{engine:?}: {hot:?}");
         // HHH returns at least the hot leaf or its prefix.
-        let hier = eng.hhh(h, 0.05);
+        let hier = eng
+            .request(h, QueryRequest::Hhh { support: 0.05 })
+            .into_hhh();
         assert!(!hier.is_empty(), "{engine:?}");
-
-        // Generic interface agrees with the typed one.
-        match eng.query(q, 0.5) {
-            QueryAnswer::Quantile(v) => assert_eq!(v, med),
-            other => panic!("wrong answer kind: {other:?}"),
-        }
     }
 }
 
@@ -53,11 +56,19 @@ fn dsms_engines_are_bit_identical() {
     ]
     .into_iter()
     .map(|e| {
-        let mut eng = StreamEngine::new(e).with_n_hint(50_000);
+        let mut eng = EngineBuilder::new(e)
+            .n_hint(50_000)
+            .build()
+            .expect("valid configuration");
         let q = eng.register_quantile(0.01);
         let f = eng.register_frequency(0.001);
-        eng.push_all(data.iter().copied());
-        (eng.quantile(q, 0.9), eng.heavy_hitters(f, 0.01))
+        eng.push_batch(&data);
+        (
+            eng.request(q, QueryRequest::Quantile { phi: 0.9 })
+                .into_quantile(),
+            eng.request(f, QueryRequest::HeavyHitters { support: 0.01 })
+                .into_heavy_hitters(),
+        )
     })
     .collect();
     assert_eq!(answers[0], answers[1]);
@@ -74,7 +85,10 @@ fn checkpoint_drains_the_overlapped_sort() {
     // would desync the counts and the answers.
     let data = zipf(30_000, 9);
     let build = |engine: Engine| {
-        let mut eng = StreamEngine::new(engine).with_n_hint(data.len() as u64);
+        let mut eng = EngineBuilder::new(engine)
+            .n_hint(data.len() as u64)
+            .build()
+            .expect("valid configuration");
         let q = eng.register_quantile(0.01);
         let f = eng.register_frequency(0.001);
         (eng, q, f)
@@ -92,10 +106,8 @@ fn checkpoint_drains_the_overlapped_sort() {
         cut < data.len(),
         "stream long enough to continue after restore"
     );
-    for &v in &data[..cut] {
-        overlapped.push(v);
-        reference.push(v);
-    }
+    overlapped.push_batch(&data[..cut]);
+    reference.push_batch(&data[..cut]);
 
     let json = overlapped.checkpoint();
     let mut restored = StreamEngine::restore(Engine::Host, &json).expect("valid checkpoint");
@@ -105,17 +117,25 @@ fn checkpoint_drains_the_overlapped_sort() {
         "no window lost in flight"
     );
 
-    for &v in &data[cut..] {
-        restored.push(v);
-        reference.push(v);
-    }
+    restored.push_batch(&data[cut..]);
+    reference.push_batch(&data[cut..]);
     assert_eq!(
-        restored.quantile(q, 0.5).to_bits(),
-        reference.quantile(rq, 0.5).to_bits()
+        restored
+            .request(q, QueryRequest::Quantile { phi: 0.5 })
+            .into_quantile()
+            .to_bits(),
+        reference
+            .request(rq, QueryRequest::Quantile { phi: 0.5 })
+            .into_quantile()
+            .to_bits()
     );
     assert_eq!(
-        restored.heavy_hitters(f, 0.01),
-        reference.heavy_hitters(rf, 0.01)
+        restored
+            .request(f, QueryRequest::HeavyHitters { support: 0.01 })
+            .into_heavy_hitters(),
+        reference
+            .request(rf, QueryRequest::HeavyHitters { support: 0.01 })
+            .into_heavy_hitters()
     );
 }
 
@@ -126,9 +146,12 @@ fn gpu_sustains_a_higher_rate_than_cpu() {
     // argument, measured through the DSMS layer.
     let data = zipf(1 << 19, 5);
     let rate_for = |engine: Engine| {
-        let mut eng = StreamEngine::new(engine).with_n_hint(data.len() as u64);
+        let mut eng = EngineBuilder::new(engine)
+            .n_hint(data.len() as u64)
+            .build()
+            .expect("valid configuration");
         let _ = eng.register_frequency(1.0 / 32_768.0);
-        eng.push_all(data.iter().copied());
+        eng.push_batch(&data);
         eng.flush();
         eng.service_rate()
     };
@@ -143,20 +166,30 @@ fn gpu_sustains_a_higher_rate_than_cpu() {
 #[test]
 fn shedding_keeps_answers_usable_under_overload() {
     let data = zipf(300_000, 6);
-    let mut probe = StreamEngine::new(Engine::CpuSim).with_n_hint(data.len() as u64);
+    let mut probe = EngineBuilder::new(Engine::CpuSim)
+        .n_hint(data.len() as u64)
+        .build()
+        .expect("valid configuration");
     let pq = probe.register_quantile(0.01);
-    probe.push_all(data.iter().copied());
-    let exact_ish = probe.quantile(pq, 0.5);
+    probe.push_batch(&data);
+    let exact_ish = probe
+        .request(pq, QueryRequest::Quantile { phi: 0.5 })
+        .into_quantile();
     let capacity = probe.service_rate();
 
-    let mut eng = StreamEngine::new(Engine::CpuSim).with_n_hint(data.len() as u64);
+    let mut eng = EngineBuilder::new(Engine::CpuSim)
+        .n_hint(data.len() as u64)
+        .build()
+        .expect("valid configuration");
     let q = eng.register_quantile(0.01);
     let report = run_at_rate(&mut eng, data.iter().copied(), capacity * 3.0);
     assert!(report.shed_fraction() > 0.4, "{report:?}");
 
     // Uniform shedding keeps quantiles honest: the shed-stream median must
     // sit close to the full-stream one (zipf over 2048 values).
-    let shed_median = eng.quantile(q, 0.5);
+    let shed_median = eng
+        .request(q, QueryRequest::Quantile { phi: 0.5 })
+        .into_quantile();
     assert!(
         (shed_median - exact_ish).abs() <= 2.0,
         "median drifted under shedding: {shed_median} vs {exact_ish}"

@@ -1,7 +1,8 @@
-//! Property-based scalar-vs-batch ingest identity.
+//! Property-based batch-partition ingest identity.
 //!
-//! `StreamEngine::push_batch` contracts byte identity with the scalar
-//! `push` loop no matter how the caller slices the stream. The verify
+//! `StreamEngine::push_batch` contracts that its result does not depend
+//! on how the caller slices the stream — down to one element per call,
+//! which is the reference here. The verify
 //! gate pins the canonical boundary-adversarial batch lengths; these
 //! properties attack the contract with *arbitrary* batch partitions —
 //! random chunk-length sequences that wander across window boundaries —
@@ -11,7 +12,7 @@
 use std::path::{Path, PathBuf};
 
 use gsm::core::Engine;
-use gsm::dsms::{BuildError, DurableOptions, EngineBuilder, QueryId, StreamEngine};
+use gsm::dsms::{BuildError, DurableOptions, EngineBuilder, QueryId, QueryRequest, StreamEngine};
 use gsm::durable::{CheckpointPolicy, FsyncPolicy};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -23,9 +24,11 @@ fn id_value() -> impl Strategy<Value = f32> {
 
 /// Sets up a two-query engine (quantile + frequency — window 1024).
 fn build(engine: Engine, shards: usize, n: usize) -> (StreamEngine, QueryId, QueryId) {
-    let mut eng = StreamEngine::new(engine)
-        .with_n_hint(n as u64)
-        .with_shards(shards);
+    let mut eng = EngineBuilder::new(engine)
+        .n_hint(n as u64)
+        .shards(shards)
+        .build()
+        .expect("valid configuration");
     let q = eng.register_quantile(0.02);
     let f = eng.register_frequency(0.005);
     (eng, q, f)
@@ -36,10 +39,14 @@ fn observe(mut eng: StreamEngine, q: QueryId, f: QueryId) -> (String, Vec<u32>, 
     let cp = eng.checkpoint();
     let quantiles = [0.01, 0.25, 0.5, 0.75, 0.99]
         .iter()
-        .map(|&phi| eng.quantile(q, phi).to_bits())
+        .map(|&phi| {
+            let answer = eng.request(q, QueryRequest::Quantile { phi });
+            answer.into_quantile().to_bits()
+        })
         .collect();
     let hh = eng
-        .heavy_hitters(f, 0.02)
+        .request(f, QueryRequest::HeavyHitters { support: 0.02 })
+        .into_heavy_hitters()
         .into_iter()
         .map(|(v, c)| (v.to_bits(), c))
         .collect();
@@ -63,8 +70,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Arbitrary batch partitions produce the same checkpoint envelope
-    /// and bit-exact answers as the scalar loop, across shard counts and
-    /// engines.
+    /// and bit-exact answers as element-at-a-time ingest, across shard
+    /// counts and engines.
     #[test]
     fn batch_partition_is_byte_identical(
         data in vec(id_value(), 1..6000),
@@ -72,11 +79,9 @@ proptest! {
         shards in (0usize..3).prop_map(|i| [1usize, 2, 4][i]),
         engine in (0usize..Engine::ALL.len()).prop_map(|i| Engine::ALL[i]),
     ) {
-        let (mut scalar, q, f) = build(engine, shards, data.len());
-        for &v in &data {
-            scalar.push(v);
-        }
-        let reference = observe(scalar, q, f);
+        let (mut single, q, f) = build(engine, shards, data.len());
+        push_partitioned(&mut single, &data, &[1]);
+        let reference = observe(single, q, f);
 
         let (mut batched, q, f) = build(engine, shards, data.len());
         push_partitioned(&mut batched, &data, &cuts);
@@ -115,8 +120,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// With durability attached, arbitrary batch partitions leave the WAL
-    /// segments and checkpoint files on disk byte-identical to the scalar
-    /// loop's — same records, same sequence numbers, same truncations.
+    /// segments and checkpoint files on disk byte-identical to
+    /// element-at-a-time ingest's — same records, same sequence numbers,
+    /// same truncations.
     #[test]
     fn durable_batch_partition_writes_identical_wal_bytes(
         data in vec(id_value(), 1..5000),
@@ -127,37 +133,37 @@ proptest! {
             std::process::id(),
             data.len()
         ));
-        let scalar_dir = base.join("scalar");
+        let single_dir = base.join("single");
         let batch_dir = base.join("batch");
         let _ = std::fs::remove_dir_all(&base);
 
-        let mut scalar = StreamEngine::new(Engine::Host)
-            .with_n_hint(data.len() as u64)
-            .with_durability(durable_opts(&scalar_dir))
-            .expect("fresh scalar dir");
-        scalar.register_quantile(0.02);
-        for &v in &data {
-            scalar.push(v);
-        }
-        let scalar_cp = scalar.checkpoint();
-        drop(scalar);
+        let mut single = EngineBuilder::new(Engine::Host)
+            .n_hint(data.len() as u64)
+            .durability(durable_opts(&single_dir))
+            .build()
+            .expect("fresh single dir");
+        single.register_quantile(0.02);
+        push_partitioned(&mut single, &data, &[1]);
+        let single_cp = single.checkpoint();
+        drop(single);
 
-        let mut batched = StreamEngine::new(Engine::Host)
-            .with_n_hint(data.len() as u64)
-            .with_durability(durable_opts(&batch_dir))
+        let mut batched = EngineBuilder::new(Engine::Host)
+            .n_hint(data.len() as u64)
+            .durability(durable_opts(&batch_dir))
+            .build()
             .expect("fresh batch dir");
         batched.register_quantile(0.02);
         push_partitioned(&mut batched, &data, &cuts);
         let batched_cp = batched.checkpoint();
         drop(batched);
 
-        prop_assert_eq!(scalar_cp, batched_cp);
-        let scalar_files = dir_bytes(&scalar_dir);
+        prop_assert_eq!(single_cp, batched_cp);
+        let single_files = dir_bytes(&single_dir);
         let batch_files = dir_bytes(&batch_dir);
-        let scalar_names: Vec<_> = scalar_files.iter().map(|(p, _)| p.clone()).collect();
+        let single_names: Vec<_> = single_files.iter().map(|(p, _)| p.clone()).collect();
         let batch_names: Vec<_> = batch_files.iter().map(|(p, _)| p.clone()).collect();
-        prop_assert_eq!(scalar_names, batch_names);
-        for ((path, a), (_, b)) in scalar_files.iter().zip(batch_files.iter()) {
+        prop_assert_eq!(single_names, batch_names);
+        for ((path, a), (_, b)) in single_files.iter().zip(batch_files.iter()) {
             prop_assert_eq!(a, b, "durable file {} diverged", path.display());
         }
         let _ = std::fs::remove_dir_all(&base);

@@ -13,8 +13,28 @@ use std::thread;
 use std::time::Duration;
 
 use gsm::core::Engine;
-use gsm::dsms::StreamEngine;
+use gsm::dsms::{EngineBuilder, EngineSnapshot, QueryRequest, StreamEngine};
 use gsm::serve::{QueryServer, Reply, Request, ServeConfig};
+
+const MEDIAN: QueryRequest = QueryRequest::Quantile { phi: 0.5 };
+
+fn host_engine(n_hint: u64) -> StreamEngine {
+    EngineBuilder::new(Engine::Host)
+        .n_hint(n_hint)
+        .build()
+        .expect("valid configuration")
+}
+
+/// The stream `0, 1, …` folded into `0..modulus`.
+fn cyclic(n: usize, modulus: usize) -> Vec<f32> {
+    (0..n).map(|v| (v % modulus) as f32).collect()
+}
+
+/// Bit pattern of a snapshot's median for query index `q`.
+fn median_bits(snap: &EngineSnapshot, q: usize) -> u32 {
+    let answer = snap.request(q, MEDIAN).expect("sealed data");
+    answer.into_quantile().to_bits()
+}
 
 fn structured(reply: &Reply) -> bool {
     matches!(
@@ -32,7 +52,7 @@ fn structured(reply: &Reply) -> bool {
 /// advance, and after a drain the reply accounting must balance exactly.
 #[test]
 fn readers_hammer_across_seals_without_losing_requests() {
-    let mut eng = StreamEngine::new(Engine::Host).with_n_hint(200_000);
+    let mut eng = host_engine(200_000);
     let q = eng.register_quantile(0.02);
     let f = eng.register_frequency(0.001);
     let registry = eng.serve();
@@ -71,7 +91,7 @@ fn readers_hammer_across_seals_without_losing_requests() {
         .collect();
 
     // ~195 seals (window 1024) with publication on every seal.
-    eng.push_all((0..200_000).map(|v| (v % 100) as f32));
+    eng.push_batch(&cyclic(200_000, 100));
     let writer_epoch = registry.epoch();
     assert!(writer_epoch > 100, "epochs advanced with seals");
     stop.store(true, Ordering::Release);
@@ -92,13 +112,13 @@ fn readers_hammer_across_seals_without_losing_requests() {
 /// prevents the writer from sealing (this test would deadlock otherwise).
 #[test]
 fn held_snapshots_stay_stable_while_sealing_continues() {
-    let mut eng = StreamEngine::new(Engine::Host).with_n_hint(100_000);
+    let mut eng = host_engine(100_000);
     let q = eng.register_quantile(0.02);
     let registry = eng.serve();
-    eng.push_all((0..4096).map(|v| (v % 50) as f32));
+    eng.push_batch(&cyclic(4096, 50));
     let held = registry.latest().expect("published");
     let held_epoch = held.epoch();
-    let held_median = held.quantile(q.index(), 0.5).expect("sealed data");
+    let held_median = median_bits(&held, q.index());
 
     let stop = Arc::new(AtomicBool::new(false));
     let holders: Vec<_> = (0..4)
@@ -109,8 +129,8 @@ fn held_snapshots_stay_stable_while_sealing_continues() {
             thread::spawn(move || {
                 while !stop.load(Ordering::Acquire) {
                     assert_eq!(
-                        snap.quantile(q, 0.5).expect("held snapshot").to_bits(),
-                        held_median.to_bits(),
+                        median_bits(&snap, q),
+                        held_median,
                         "held snapshot must be immutable"
                     );
                 }
@@ -119,7 +139,7 @@ fn held_snapshots_stay_stable_while_sealing_continues() {
         .collect();
 
     // The writer seals ~94 more windows while the old epoch is held.
-    eng.push_all((0..96_000).map(|v| (v % 10) as f32));
+    eng.push_batch(&cyclic(96_000, 10));
     assert!(
         registry.epoch() > held_epoch + 50,
         "sealing continued while snapshots were held"
@@ -130,10 +150,7 @@ fn held_snapshots_stay_stable_while_sealing_continues() {
     }
     // The held view is still answerable and still old.
     assert_eq!(held.epoch(), held_epoch);
-    assert_eq!(
-        held.quantile(q.index(), 0.5).unwrap().to_bits(),
-        held_median.to_bits()
-    );
+    assert_eq!(median_bits(&held, q.index()), held_median);
 }
 
 /// Queries keep flowing while the engine checkpoints and a second engine
@@ -142,11 +159,11 @@ fn held_snapshots_stay_stable_while_sealing_continues() {
 /// data.
 #[test]
 fn queries_race_checkpoint_and_restore() {
-    let mut eng = StreamEngine::new(Engine::Host).with_n_hint(50_000);
+    let mut eng = host_engine(50_000);
     let q = eng.register_quantile(0.02);
     let registry = eng.serve();
     let server = QueryServer::start(Arc::clone(&registry), ServeConfig::default());
-    eng.push_all((0..50_000).map(|v| (v % 100) as f32));
+    eng.push_batch(&cyclic(50_000, 100));
 
     let stop = Arc::new(AtomicBool::new(false));
     let reader = {
@@ -167,10 +184,10 @@ fn queries_race_checkpoint_and_restore() {
         last_json = eng.checkpoint();
         let mut restored = StreamEngine::restore(Engine::Host, &last_json).expect("restore");
         assert_eq!(restored.count(), 50_000);
-        let direct = restored.quantile(q, 0.5);
+        let direct = restored.request(q, MEDIAN).into_quantile();
         let snap = registry.latest().expect("published");
         assert_eq!(
-            snap.quantile(q.index(), 0.5).expect("sealed").to_bits(),
+            median_bits(&snap, q.index()),
             direct.to_bits(),
             "restored engine and live snapshot agree on the same data"
         );
@@ -186,10 +203,10 @@ fn queries_race_checkpoint_and_restore() {
 /// is told so — the books balance to zero lost.
 #[test]
 fn saturated_queue_expires_deadlines_and_sheds_structurally() {
-    let mut eng = StreamEngine::new(Engine::Host).with_n_hint(10_000);
+    let mut eng = host_engine(10_000);
     let q = eng.register_quantile(0.02);
     let registry = eng.serve();
-    eng.push_all((0..10_000).map(|v| (v % 100) as f32));
+    eng.push_batch(&cyclic(10_000, 100));
     let server = QueryServer::start(
         registry,
         ServeConfig {
@@ -241,10 +258,10 @@ fn saturated_queue_expires_deadlines_and_sheds_structurally() {
 /// shed, and the accounting balances.
 #[test]
 fn shutdown_under_fire_strands_nothing() {
-    let mut eng = StreamEngine::new(Engine::Host).with_n_hint(10_000);
+    let mut eng = host_engine(10_000);
     let q = eng.register_quantile(0.02);
     let registry = eng.serve();
-    eng.push_all((0..10_000).map(|v| (v % 100) as f32));
+    eng.push_batch(&cyclic(10_000, 100));
     let server = QueryServer::start(
         registry,
         ServeConfig {

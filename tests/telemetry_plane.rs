@@ -13,7 +13,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 use gsm::core::Engine;
-use gsm::dsms::StreamEngine;
+use gsm::dsms::{EngineBuilder, StreamEngine};
 use gsm::obs::{EngineEvent, Recorder, SloSpec, TraceCtx};
 use gsm::serve::{AdminServer, AdminSources, QueryServer, Reply, Request, ServeConfig, TcpFront};
 use gsm::verify::{record_violations, verify_family, Family, StreamSpec, VerifyConfig};
@@ -35,17 +35,18 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
 /// An ingesting engine wired for serving: two shards (so per-shard series
 /// exist), a shared recorder, and a published first snapshot.
 fn serving_stack(rec: &Recorder) -> (StreamEngine, usize, QueryServer) {
-    let mut eng = StreamEngine::new(Engine::Host)
-        .with_n_hint(20_000)
-        .with_shards(2)
-        .with_publish_every(4)
-        .with_recorder(rec.clone());
+    let mut eng = EngineBuilder::new(Engine::Host)
+        .n_hint(20_000)
+        .shards(2)
+        .publish_every(4)
+        .recorder(rec.clone())
+        .build()
+        .expect("valid configuration");
     let q = eng.register_quantile(0.02);
     let _f = eng.register_frequency(0.005);
     let registry = eng.serve();
-    for i in 0..10_000u32 {
-        eng.push((i % 4096) as f32);
-    }
+    let stream: Vec<f32> = (0..10_000u32).map(|i| (i % 4096) as f32).collect();
+    eng.push_batch(&stream);
     eng.flush();
     eng.publish_now();
     let server = QueryServer::with_recorder(registry, ServeConfig::default(), rec.clone());
@@ -95,9 +96,8 @@ fn admin_endpoint_reports_live_engine_state() {
 
     // Publishing advances the epoch the endpoint reports — live, not a
     // snapshot taken at bind time.
-    for i in 0..5_000u32 {
-        eng.push(i as f32);
-    }
+    let stream: Vec<f32> = (0..5_000u32).map(|i| i as f32).collect();
+    eng.push_batch(&stream);
     eng.flush();
     eng.publish_now();
     // Serving a query moves the queue gauges (every admission transits
@@ -176,14 +176,15 @@ fn trace_ids_round_trip_tcp_and_link_spans_in_chrome_trace() {
 #[test]
 fn worker_panic_leaves_a_postmortem_naming_the_event() {
     let rec = Recorder::enabled();
-    let mut eng = StreamEngine::new(Engine::Host)
-        .with_n_hint(4_096)
-        .with_recorder(rec.clone());
+    let mut eng = EngineBuilder::new(Engine::Host)
+        .n_hint(4_096)
+        .recorder(rec.clone())
+        .build()
+        .expect("valid configuration");
     let f = eng.register_frequency(0.005);
     let registry = eng.serve();
-    for i in 0..4_096u32 {
-        eng.push((i % 64) as f32);
-    }
+    let stream: Vec<f32> = (0..4_096u32).map(|i| (i % 64) as f32).collect();
+    eng.push_batch(&stream);
     eng.flush();
     eng.publish_now();
 

@@ -6,7 +6,7 @@
 use std::sync::{Arc, Mutex};
 
 use gsm::core::{replay, Engine};
-use gsm::dsms::{LoadShedder, StreamEngine};
+use gsm::dsms::{EngineBuilder, LoadShedder, QueryRequest};
 use gsm::sketch::exact::ExactStats;
 use gsm::sketch::LossyCounting;
 use gsm::verify::{
@@ -42,7 +42,7 @@ fn all_families_pass_on_all_engines() {
 /// edge values and the window ±1 off-by-one streams — passes the merged-ε
 /// audits at every shard count in {1, 2, 4} on every engine, k = 1
 /// reproduces the unsharded baseline byte for byte, and the
-/// `StreamEngine::with_shards` path never diverges from the raw sharded
+/// sharded `StreamEngine` path never diverges from the raw sharded
 /// pipeline.
 #[test]
 fn all_families_pass_sharded_on_all_engines() {
@@ -72,7 +72,7 @@ fn all_families_pass_sharded_on_all_engines() {
 /// The batched-ingest gate: for every adversarial family, ingesting
 /// through `StreamEngine::push_batch` at boundary-adversarial batch
 /// lengths {1, 7, window, window+1, 3·window} produces answers and
-/// checkpoint envelopes byte-identical to the scalar `push` loop, on
+/// checkpoint envelopes byte-identical to element-at-a-time ingest, on
 /// every engine at shard counts {1, 2, 4}.
 #[test]
 fn all_families_batch_ingest_byte_identically() {
@@ -160,23 +160,26 @@ fn shedding_bounds_certified_against_admitted_substream() {
 
     let admitted: Arc<Mutex<Vec<f32>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&admitted);
-    let mut eng = StreamEngine::new(Engine::Host)
-        .with_n_hint(data.len() as u64)
-        .with_window_tap(Box::new(move |w: &[f32]| {
+    let mut eng = EngineBuilder::new(Engine::Host)
+        .n_hint(data.len() as u64)
+        .window_tap(Box::new(move |w: &[f32]| {
             sink.lock().expect("tap lock").extend_from_slice(w);
-        }));
+        }))
+        .build()
+        .expect("valid configuration");
     let f = eng.register_frequency(eps);
     let q = eng.register_quantile(0.02);
 
     // Admit 40% of arrivals through the uniform decimator.
     let mut shedder = LoadShedder::new(0.4);
-    for &v in &data {
-        if shedder.admit() {
-            eng.push(v);
-        }
-    }
-    let hot = eng.heavy_hitters(f, support);
-    let med = eng.quantile(q, 0.5);
+    let kept: Vec<f32> = data.iter().copied().filter(|_| shedder.admit()).collect();
+    eng.push_batch(&kept);
+    let hot = eng
+        .request(f, QueryRequest::HeavyHitters { support })
+        .into_heavy_hitters();
+    let med = eng
+        .request(q, QueryRequest::Quantile { phi: 0.5 })
+        .into_quantile();
 
     let admitted = admitted.lock().expect("tap lock").clone();
     assert_eq!(
