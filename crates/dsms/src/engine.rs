@@ -10,7 +10,7 @@
 //! of the work (paper §3.2) — is paid once regardless of how many queries
 //! are registered.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use gsm_core::{BitPrefixHierarchy, Engine, ShardedPipeline, TimeBreakdown};
 use gsm_model::SimTime;
@@ -343,10 +343,11 @@ impl StreamEngine {
             .span_labeled("dsms_answer", ("kind", req.kind().name()));
         self.flush();
         let pipeline = self.pipeline.as_mut().expect("sealed");
+        let merged = OnceLock::new();
         let answer = if pipeline.shard_count() == 1 {
-            pipeline.shard(0).sink().sketches[id.0].answer(req)
+            pipeline.shard(0).sink().sketches[id.0].answer(req, &merged)
         } else {
-            pipeline.merged_sink().sketches[id.0].answer(req)
+            pipeline.merged_sink().sketches[id.0].answer(req, &merged)
         };
         answer.unwrap_or_else(|e| panic!("query {id:?}: {e}"))
     }

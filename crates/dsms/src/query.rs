@@ -7,10 +7,12 @@
 //! through the one (request × sketch) dispatch in `QuerySketch::answer`,
 //! so snapshot answers are byte-identical to direct ones.
 
+use std::sync::OnceLock;
+
 use gsm_core::{BitPrefixHierarchy, HhhEntry};
 use gsm_sketch::{
     ExpHistogram, HhhSummary, LossyCounting, OpCounter, SinkOps, SlidingFrequency, SlidingQuantile,
-    SummarySink,
+    SummarySink, WindowSummary,
 };
 
 use crate::snapshot::SnapshotError;
@@ -233,14 +235,22 @@ impl QuerySketch {
 
     /// Answers `req` from this sketch — the single (request × sketch)
     /// dispatch behind both the engine's and the snapshot's `request`.
-    /// Sliding quantiles use the frozen (`&self`) query form, bit-equal to
-    /// the mutating one. A request of another kind than the sketch's is
-    /// [`SnapshotError::WrongKind`]; out-of-range parameters panic in the
-    /// summary.
-    pub(crate) fn answer(&self, req: QueryRequest) -> Result<QueryAnswer, SnapshotError> {
+    /// Both quantile kinds rank in the merge of their live buckets or
+    /// blocks, as `ExpHistogram::query` and `SlidingQuantile::query` do,
+    /// but build that merge in `merged` only if the cell is empty: a
+    /// published snapshot passes the cell it keeps for this sketch, so the
+    /// merge runs once per epoch; the live engine, whose sketches change
+    /// under it, passes a fresh one. A request of another kind than the
+    /// sketch's is [`SnapshotError::WrongKind`]; out-of-range parameters
+    /// panic in the summary.
+    pub(crate) fn answer(
+        &self,
+        req: QueryRequest,
+        merged: &OnceLock<WindowSummary>,
+    ) -> Result<QueryAnswer, SnapshotError> {
         Ok(match (req, self) {
             (QueryRequest::Quantile { phi }, QuerySketch::Quantile(q)) => {
-                QueryAnswer::Quantile(q.query(phi))
+                QueryAnswer::Quantile(merged.get_or_init(|| q.snapshot()).query(phi))
             }
             (QueryRequest::HeavyHitters { support }, QuerySketch::Frequency(f)) => {
                 QueryAnswer::HeavyHitters(f.heavy_hitters(support))
@@ -249,7 +259,7 @@ impl QuerySketch {
                 QueryAnswer::Hhh(h.query(support))
             }
             (QueryRequest::SlidingQuantile { phi }, QuerySketch::SlidingQuantile(s)) => {
-                QueryAnswer::Quantile(s.query_frozen(phi))
+                QueryAnswer::Quantile(merged.get_or_init(|| s.snapshot()).query(phi))
             }
             (QueryRequest::SlidingFrequency { support }, QuerySketch::SlidingFrequency(f)) => {
                 QueryAnswer::HeavyHitters(f.heavy_hitters(support))
@@ -357,7 +367,7 @@ mod tests {
                     asked: req.kind(),
                     actual: sketch.kind(),
                 };
-                match sketch.answer(req) {
+                match sketch.answer(req, &OnceLock::new()) {
                     Ok(_) => assert_eq!(req.kind(), sketch.kind()),
                     Err(e) => assert!(req.kind() != sketch.kind() && e == wrong, "{e}"),
                 }

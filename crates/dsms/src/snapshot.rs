@@ -24,9 +24,9 @@
 //!   functional (merely older) view, and the writer never waits for them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use gsm_sketch::OpCounter;
+use gsm_sketch::{OpCounter, WindowSummary};
 
 use crate::engine::StreamEngine;
 use crate::query::{QueryAnswer, QueryKind, QueryRequest, QuerySketch};
@@ -72,6 +72,12 @@ impl std::error::Error for SnapshotError {}
 /// [`Self::request`] takes `&self`; answers from a snapshot are
 /// byte-identical to the engine's direct answers over the same sealed
 /// windows, because both run the same query code on the same merged state.
+///
+/// A quantile answer ranks in the merge of the sketch's live buckets (or
+/// sliding blocks). The snapshot cannot change, so that merge is built by
+/// the first quantile request that needs it and kept: every later request
+/// on this epoch is one binary search. It is built on first use, not at
+/// publication, so an epoch nobody queries costs the ingest thread nothing.
 pub struct EngineSnapshot {
     pub(crate) epoch: u64,
     pub(crate) pushed: u64,
@@ -79,6 +85,9 @@ pub struct EngineSnapshot {
     pub(crate) window: usize,
     pub(crate) windows_sealed: u64,
     pub(crate) sketches: Vec<QuerySketch>,
+    /// One cell per sketch: the merged view of a quantile kind, empty
+    /// until first asked for (and forever for the other kinds).
+    pub(crate) merged: Vec<OnceLock<WindowSummary>>,
 }
 
 impl EngineSnapshot {
@@ -146,7 +155,7 @@ impl EngineSnapshot {
         if ranks && self.windows_sealed == 0 && req.kind() == kind {
             return Err(SnapshotError::Empty);
         }
-        sketch.answer(req)
+        sketch.answer(req, &self.merged[id])
     }
 }
 
@@ -286,6 +295,7 @@ impl StreamEngine {
             absorbed: self.count - pipeline.unabsorbed(),
             window: pipeline.window(),
             windows_sealed: pipeline.windows_sorted(),
+            merged: sketches.iter().map(|_| OnceLock::new()).collect(),
             sketches,
         }
     }
@@ -382,6 +392,79 @@ mod tests {
                     assert_eq!(served, direct, "{ctx}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn merged_view_is_built_on_first_use_once_and_answers_as_the_sketch_does() {
+        const PHIS: [f64; 5] = [0.01, 0.25, 0.5, 0.9, 0.99];
+        const READERS: usize = 4;
+        for shards in [1, 3] {
+            let mut eng = EngineBuilder::new(Engine::Host)
+                .n_hint(40_000)
+                .shards(shards)
+                .build()
+                .expect("valid configuration");
+            let q = eng.register_quantile(0.02).index();
+            let f = eng.register_frequency(0.001).index();
+            let sq = eng.register_sliding_quantile(0.05, 4_000).index();
+            let reg = eng.serve();
+            eng.push_batch(&mixed_stream(40_000, 43));
+            eng.flush();
+            eng.publish_now();
+            let snap = reg.latest().expect("published");
+            assert!(
+                snap.merged.iter().all(|cell| cell.get().is_none()),
+                "publication builds no merged view"
+            );
+            let expected = |id: usize, phi: f64| match &snap.sketches[id] {
+                QuerySketch::Quantile(h) => h.query(phi).to_bits(),
+                QuerySketch::SlidingQuantile(s) => s.clone().query(phi).to_bits(),
+                _ => unreachable!("a quantile kind"),
+            };
+
+            // Every reader's first request races the others' to the cell.
+            let barrier = std::sync::Barrier::new(READERS);
+            let views: Vec<(usize, usize)> = std::thread::scope(|scope| {
+                let readers: Vec<_> = (0..READERS)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            let mut views = Vec::new();
+                            for phi in PHIS {
+                                for (id, req) in [
+                                    (q, QueryRequest::Quantile { phi }),
+                                    (sq, QueryRequest::SlidingQuantile { phi }),
+                                ] {
+                                    let v = snap.request(id, req).expect("answers").into_quantile();
+                                    assert_eq!(
+                                        v.to_bits(),
+                                        expected(id, phi),
+                                        "k={shards} {req:?}"
+                                    );
+                                    let view = snap.merged[id].get().expect("built by now");
+                                    views.push((id, view as *const WindowSummary as usize));
+                                }
+                            }
+                            views
+                        })
+                    })
+                    .collect();
+                readers
+                    .into_iter()
+                    .flat_map(|r| r.join().expect("reader"))
+                    .collect()
+            });
+            // One merged summary per sketch was ever stored: every reader,
+            // on every request, ranked in the same one.
+            for id in [q, sq] {
+                let mut addresses = views.iter().filter(|v| v.0 == id).map(|v| v.1);
+                let first = addresses.next().expect("asked");
+                assert!(addresses.all(|a| a == first), "k={shards} query {id}");
+            }
+            // Kinds that rank nothing never fill their cell.
+            let _ = snap.request(f, QueryRequest::HeavyHitters { support: 0.01 });
+            assert!(snap.merged[f].get().is_none());
         }
     }
 

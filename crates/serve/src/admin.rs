@@ -5,9 +5,10 @@
 //! proxy should be able to firewall the two separately). It reuses the
 //! [`crate::TcpFront`] machinery: one accept thread, one short-lived
 //! thread per connection, a shutdown flag polled on a read timeout, and a
-//! poke connection on drop. Every response closes the connection
-//! (`Connection: close`), which is all Prometheus scrapers and `curl`
-//! need — no keep-alive, no chunking, no TLS.
+//! poke connection on drop. Every response is one `write` — head and body
+//! together — and closes the connection (`Connection: close`), which is
+//! all Prometheus scrapers and `curl` need — no keep-alive, no chunking,
+//! no TLS.
 //!
 //! Routes:
 //!
@@ -22,18 +23,15 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use gsm_dsms::SnapshotRegistry;
 use gsm_obs::{Recorder, SloSpec};
 
+use crate::net::{accept_loop, POLL_INTERVAL};
 use crate::server::Client;
-
-/// How often blocked reads re-check the shutdown flag (same posture as
-/// the query front).
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// What the admin endpoint reports on. Everything is optional except the
 /// recorder, so the endpoint can front an ingest-only engine (no query
@@ -84,7 +82,8 @@ impl AdminServer {
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error if the bind fails.
+    /// Returns the underlying I/O error if the bind fails or the accept
+    /// thread cannot be spawned.
     pub fn bind(addr: &str, sources: AdminSources) -> io::Result<AdminServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -97,8 +96,14 @@ impl AdminServer {
             let shutdown = Arc::clone(&shutdown);
             thread::Builder::new()
                 .name("gsm-admin-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shared, &shutdown))
-                .expect("spawn admin accept thread")
+                .spawn(move || {
+                    accept_loop(
+                        &listener,
+                        &shutdown,
+                        "gsm-admin-conn",
+                        move |stream, stop| handle_connection(stream, &shared, stop),
+                    )
+                })?
         };
         Ok(AdminServer {
             addr,
@@ -123,35 +128,13 @@ impl Drop for AdminServer {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, shutdown: &Arc<AtomicBool>) {
-    let handlers: Mutex<Vec<thread::JoinHandle<()>>> = Mutex::new(Vec::new());
-    for stream in listener.incoming() {
-        if shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let shared = Arc::clone(shared);
-        let shutdown = Arc::clone(shutdown);
-        let handle = thread::Builder::new()
-            .name("gsm-admin-conn".to_string())
-            .spawn(move || handle_connection(stream, &shared, &shutdown))
-            .expect("spawn admin connection handler");
-        handlers
-            .lock()
-            .expect("admin handler list lock")
-            .push(handle);
-    }
-    for handle in handlers.into_inner().expect("admin handler list lock") {
-        let _ = handle.join();
-    }
-}
-
 /// Reads the request line, routes it, writes one response, closes. The
 /// remaining request headers are irrelevant to every route, so they are
 /// left unread — the response carries `Connection: close` and the socket
 /// drop discards them.
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>, shutdown: &Arc<AtomicBool>) {
+fn handle_connection(mut stream: TcpStream, shared: &Shared, shutdown: &AtomicBool) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+    let _ = stream.set_nodelay(true);
     let mut pending: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 1024];
     let line = loop {
@@ -177,14 +160,22 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>, shutdown: &Arc
             Err(_) => return,
         }
     };
-    let (status, content_type, body) = respond(shared, &line);
-    let _ = write!(
-        stream,
+    let _ = write_response(&mut stream, respond(shared, &line));
+}
+
+/// Sends `(status, content type, body)` as one HTTP/1.0 response in one
+/// `write`: `write!` straight to a socket is a `write` (and a segment) per
+/// format fragment.
+fn write_response<W: Write>(
+    wire: &mut W,
+    (status, content_type, body): (&str, &str, String),
+) -> io::Result<()> {
+    let response = format!(
         "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\
          Connection: close\r\n\r\n{body}",
         body.len()
     );
-    let _ = stream.flush();
+    wire.write_all(response.as_bytes())
 }
 
 /// Routes one request line to `(status, content type, body)`.
@@ -333,6 +324,34 @@ mod tests {
         let mut raw = String::new();
         stream.read_to_string(&mut raw).expect("read");
         assert!(raw.starts_with("HTTP/1.0 405"));
+    }
+
+    #[test]
+    fn every_response_is_one_write() {
+        let rec = Recorder::enabled();
+        rec.count("windows", 3);
+        let shared = Shared {
+            sources: AdminSources::new(rec),
+            started: Instant::now(),
+        };
+        for line in [
+            "GET /healthz HTTP/1.0",
+            "GET /metrics HTTP/1.0",
+            "GET /status HTTP/1.0",
+            "GET /nope HTTP/1.0",
+            "POST /metrics HTTP/1.0",
+        ] {
+            let mut wire = crate::net::tests::ScriptedWire::default();
+            write_response(&mut wire, respond(&shared, line)).expect("mock accepts");
+            assert_eq!(wire.writes.len(), 1, "{line}");
+            let response = String::from_utf8(wire.writes.remove(0)).expect("text");
+            let (head, body) = response.split_once("\r\n\r\n").expect("head and body");
+            assert!(head.starts_with("HTTP/1.0 "), "{line}: {head}");
+            assert!(
+                head.contains(&format!("Content-Length: {}\r\n", body.len())),
+                "{line}: {head}"
+            );
+        }
     }
 
     #[test]

@@ -37,11 +37,25 @@
 //! epoch <n>
 //! err <message>          (malformed request line)
 //! ```
+//!
+//! ## On the wire
+//!
+//! Every reply line leaves in one `write` on a socket with `TCP_NODELAY`
+//! set, so it is one segment the moment it is ready. A line written in two
+//! pieces — text, then `\n` — has the second held by Nagle's algorithm
+//! until the peer acknowledges the first, and a peer that delays its ACKs
+//! (Linux: 40 ms) turns every request into a 40 ms round trip.
+//!
+//! A request line is at most 4 KiB; a longer one is answered
+//! `err line too long` and the connection is closed, so a peer that never
+//! sends a newline cannot grow the server's buffer.
 
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -52,7 +66,11 @@ use crate::server::{Client, Reply, Request};
 
 /// How often blocked reads re-check the shutdown flag. Bounds how long
 /// `Drop` can take, not request latency.
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
+pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(100);
+
+/// The longest request line the front reads, newline excluded. The longest
+/// well-formed request is under 100 bytes.
+const MAX_LINE: usize = 4 * 1024;
 
 /// The TCP listener: one accept thread, one handler thread per
 /// connection, all funneling into the wrapped [`Client`].
@@ -72,7 +90,8 @@ impl TcpFront {
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error if the bind fails.
+    /// Returns the underlying I/O error if the bind fails or the accept
+    /// thread cannot be spawned.
     pub fn bind(client: Client, addr: &str) -> io::Result<TcpFront> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -81,8 +100,14 @@ impl TcpFront {
             let shutdown = Arc::clone(&shutdown);
             thread::Builder::new()
                 .name("gsm-serve-accept".to_string())
-                .spawn(move || accept_loop(&listener, &client, &shutdown))
-                .expect("spawn accept thread")
+                .spawn(move || {
+                    accept_loop(
+                        &listener,
+                        &shutdown,
+                        "gsm-serve-conn",
+                        move |stream, stop| handle_connection(stream, &client, stop),
+                    )
+                })?
         };
         Ok(TcpFront {
             addr,
@@ -109,77 +134,130 @@ impl Drop for TcpFront {
     }
 }
 
-fn accept_loop(listener: &TcpListener, client: &Client, shutdown: &Arc<AtomicBool>) {
-    let handlers: Mutex<Vec<thread::JoinHandle<()>>> = Mutex::new(Vec::new());
+/// Accepts until `shutdown` is set, running `handle` on one thread (named
+/// `name`) per connection, and joins the handlers still running before it
+/// returns. Shared by the query front and the admin endpoint.
+///
+/// Finished handlers are reaped on every accept, so the list holds the
+/// open connections, not every connection there ever was. A connection
+/// whose thread cannot be spawned is dropped — the peer sees it close —
+/// and accepting goes on.
+pub(crate) fn accept_loop(
+    listener: &TcpListener,
+    shutdown: &Arc<AtomicBool>,
+    name: &str,
+    handle: impl Fn(TcpStream, &AtomicBool) + Clone + Send + 'static,
+) {
+    let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
         if shutdown.load(Ordering::Acquire) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        let client = client.clone();
-        let shutdown = Arc::clone(shutdown);
-        let handle = thread::Builder::new()
-            .name("gsm-serve-conn".to_string())
-            .spawn(move || handle_connection(stream, &client, &shutdown))
-            .expect("spawn connection handler");
-        handlers.lock().expect("handler list lock").push(handle);
+        reap_finished(&mut handlers);
+        let (handle, shutdown) = (handle.clone(), Arc::clone(shutdown));
+        let spawned = thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || handle(stream, &shutdown));
+        // On failure the closure, and the stream in it, has been dropped.
+        if let Ok(handler) = spawned {
+            handlers.push(handler);
+        }
     }
-    for handle in handlers.into_inner().expect("handler list lock") {
+    for handle in handlers {
         let _ = handle.join();
     }
 }
 
-/// Per-connection loop: split the byte stream into lines by hand (a
-/// `BufReader::read_line` can drop partially read bytes when a read
-/// timeout fires mid-line; manual framing keeps them).
-fn handle_connection(mut stream: TcpStream, client: &Client, shutdown: &Arc<AtomicBool>) {
+/// Joins (without blocking) and forgets every handler that has returned.
+fn reap_finished(handlers: &mut Vec<thread::JoinHandle<()>>) {
+    let mut i = 0;
+    while i < handlers.len() {
+        if handlers[i].is_finished() {
+            let _ = handlers.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+}
+
+fn handle_connection(stream: TcpStream, client: &Client, shutdown: &AtomicBool) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+    let _ = stream.set_nodelay(true);
+    serve_connection(stream, client, shutdown);
+}
+
+/// Per-connection loop over any byte transport: split the byte stream into
+/// lines by hand (a `BufReader::read_line` can drop partially read bytes
+/// when a read timeout fires mid-line; manual framing keeps them), answer
+/// each line, and send each reply with one `write_all`. The input buffer
+/// and the reply buffer live as long as the connection; lines are parsed
+/// where they lie.
+fn serve_connection<S: Read + Write>(mut stream: S, client: &Client, shutdown: &AtomicBool) {
     let mut pending: Vec<u8> = Vec::new();
+    let mut reply = String::new();
     let mut chunk = [0u8; 1024];
     loop {
         if shutdown.load(Ordering::Acquire) {
             return;
         }
-        match stream.read(&mut chunk) {
+        let n = match stream.read(&mut chunk) {
             Ok(0) => return,
-            Ok(n) => {
-                pending.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                    let raw: Vec<u8> = pending.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&raw[..pos]);
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    if line == "quit" || line == "exit" {
-                        return;
-                    }
-                    let response = if line == "epoch" {
-                        format!("epoch {}", client.epoch())
-                    } else {
-                        match parse_request(line) {
-                            Ok((request, timeout, trace)) => {
-                                let ctx = trace.unwrap_or_else(TraceCtx::fresh);
-                                let deadline = timeout.unwrap_or(client.default_deadline());
-                                let reply = client.call_traced(request, deadline, ctx);
-                                format!("{} trace={}", format_reply(&reply), ctx.hex())
-                            }
-                            Err(msg) => format!("err {msg}"),
-                        }
-                    };
-                    if writeln!(stream, "{response}").is_err() {
-                        return;
-                    }
-                }
-            }
+            Ok(n) => n,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 continue;
             }
             Err(_) => return,
+        };
+        pending.extend_from_slice(&chunk[..n]);
+        let mut start = 0;
+        loop {
+            let rest = &pending[start..];
+            let newline = rest.iter().position(|&b| b == b'\n');
+            let line = &rest[..newline.unwrap_or(rest.len())];
+            if line.len() > MAX_LINE {
+                let _ = stream.write_all(b"err line too long\n");
+                return;
+            }
+            let Some(len) = newline else { break };
+            start += len + 1;
+            reply.clear();
+            if answer_line(line, client, &mut reply).is_break() {
+                return;
+            }
+            if !reply.is_empty() && stream.write_all(reply.as_bytes()).is_err() {
+                return;
+            }
         }
+        pending.drain(..start);
     }
+}
+
+/// Appends the reply line for one request line, newline included, to
+/// `out` (nothing for a blank line). `Break` on `quit`.
+fn answer_line(raw: &[u8], client: &Client, out: &mut String) -> ControlFlow<()> {
+    let Ok(line) = std::str::from_utf8(raw) else {
+        out.push_str("err request is not UTF-8\n");
+        return ControlFlow::Continue(());
+    };
+    // Writing to a `String` cannot fail.
+    let _ = match line.trim() {
+        "" => Ok(()),
+        "quit" | "exit" => return ControlFlow::Break(()),
+        "epoch" => writeln!(out, "epoch {}", client.epoch()),
+        line => match parse_request(line) {
+            Ok((request, timeout, trace)) => {
+                let ctx = trace.unwrap_or_else(TraceCtx::fresh);
+                let deadline = timeout.unwrap_or(client.default_deadline());
+                let reply = client.call_traced(request, deadline, ctx);
+                write_reply(out, &reply).and_then(|()| writeln!(out, " trace={}", ctx.hex()))
+            }
+            Err(msg) => writeln!(out, "err {msg}"),
+        },
+    };
+    ControlFlow::Continue(())
 }
 
 /// Parses one request line into a [`Request`] plus optional deadline and
@@ -227,40 +305,227 @@ fn parse_request(line: &str) -> Result<(Request, Option<Duration>, Option<TraceC
     Ok((Request::from_typed(query, typed), timeout, trace))
 }
 
-/// Renders a [`Reply`] as one protocol line.
-fn format_reply(reply: &Reply) -> String {
+/// Renders a [`Reply`] as one protocol line (no trace token, no newline).
+fn write_reply(out: &mut String, reply: &Reply) -> std::fmt::Result {
     match reply {
         Reply::Answer { epoch, answer } => match answer {
-            QueryAnswer::Quantile(v) => format!("answer {epoch} quantile {v}"),
+            QueryAnswer::Quantile(v) => write!(out, "answer {epoch} quantile {v}"),
             QueryAnswer::HeavyHitters(hits) => {
-                let mut out = format!("answer {epoch} hh {}", hits.len());
-                for (value, count) in hits {
-                    out.push_str(&format!(" {value}:{count}"));
-                }
-                out
+                write!(out, "answer {epoch} hh {}", hits.len())?;
+                hits.iter()
+                    .try_for_each(|(value, count)| write!(out, " {value}:{count}"))
             }
             QueryAnswer::Hhh(entries) => {
-                let mut out = format!("answer {epoch} hhh {}", entries.len());
-                for e in entries {
-                    out.push_str(&format!(" {}:{}:{}", e.level, e.prefix, e.discounted_count));
-                }
-                out
+                write!(out, "answer {epoch} hhh {}", entries.len())?;
+                entries.iter().try_for_each(|e| {
+                    write!(out, " {}:{}:{}", e.level, e.prefix, e.discounted_count)
+                })
             }
         },
-        Reply::Overloaded { queue_depth } => format!("overloaded {queue_depth}"),
-        Reply::Expired => "expired".to_string(),
-        Reply::NotReady => "notready".to_string(),
-        Reply::BadQuery(msg) => format!("badquery {}", msg.replace('\n', " ")),
+        Reply::Overloaded { queue_depth } => write!(out, "overloaded {queue_depth}"),
+        Reply::Expired => out.write_str("expired"),
+        Reply::NotReady => out.write_str("notready"),
+        Reply::BadQuery(msg) => write!(out, "badquery {}", msg.replace('\n', " ")),
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::server::{QueryServer, ServeConfig};
     use gsm_core::Engine;
     use gsm_dsms::EngineBuilder;
     use std::io::{BufRead, BufReader};
+    use std::time::Instant;
+
+    /// A transport that plays back `input` and keeps each `write` call's
+    /// bytes apart, so a test can count the writes a reply took.
+    #[derive(Default)]
+    pub(crate) struct ScriptedWire {
+        pub(crate) input: Vec<u8>,
+        pub(crate) read: usize,
+        pub(crate) writes: Vec<Vec<u8>>,
+    }
+
+    impl Read for ScriptedWire {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.input.len() - self.read);
+            buf[..n].copy_from_slice(&self.input[self.read..self.read + n]);
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    impl Write for ScriptedWire {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A served engine over 20 000 elements of `i % 100`: a quantile query
+    /// (index 0) and a frequency query (index 1) with 100 hot values.
+    fn hundred_values() -> (gsm_dsms::StreamEngine, QueryServer) {
+        let mut eng = EngineBuilder::new(Engine::Host)
+            .n_hint(20_000)
+            .build()
+            .expect("valid configuration");
+        let _ = eng.register_quantile(0.02);
+        let _ = eng.register_frequency(0.001);
+        let server = QueryServer::start(eng.serve(), ServeConfig::default());
+        let stream: Vec<f32> = (0..20_000).map(|i| (i % 100) as f32).collect();
+        eng.push_batch(&stream);
+        eng.flush();
+        eng.publish_now();
+        (eng, server)
+    }
+
+    const SIX_REQUESTS: &str =
+        "quantile 0 0.5\nhh 1 0.009\n\nepoch\nquantile nope 0.5\nbogus 0 0.5\nquantile 0 0.9 1000 trace=deadbeef\n";
+
+    fn assert_six_replies(replies: &[String]) {
+        let starts = ["answer ", "answer ", "epoch ", "err ", "err ", "answer "];
+        assert_eq!(replies.len(), starts.len(), "{replies:?}");
+        for (reply, start) in replies.iter().zip(starts) {
+            assert!(
+                reply.starts_with(start),
+                "{reply} should start with {start}"
+            );
+        }
+        assert!(replies[0].contains(" quantile "), "{}", replies[0]);
+        assert!(replies[1].contains(" hh 100 "), "{}", replies[1]);
+        assert!(
+            replies[5].ends_with("trace=00000000deadbeef"),
+            "{}",
+            replies[5]
+        );
+    }
+
+    #[test]
+    fn every_reply_line_is_one_write() {
+        let (_eng, server) = hundred_values();
+        let mut wire = ScriptedWire {
+            input: SIX_REQUESTS.as_bytes().to_vec(),
+            ..ScriptedWire::default()
+        };
+        serve_connection(&mut wire, &server.client(), &AtomicBool::new(false));
+        // Six requests (and a blank line, which gets no reply): six writes,
+        // each a whole line — the 100-entry `hh` reply included.
+        let replies: Vec<String> = wire
+            .writes
+            .iter()
+            .map(|w| String::from_utf8(w.clone()).expect("ASCII reply"))
+            .collect();
+        for reply in &replies {
+            assert_eq!(reply.find('\n'), Some(reply.len() - 1), "{reply:?}");
+        }
+        let lines: Vec<String> = replies.iter().map(|r| r.trim_end().to_string()).collect();
+        assert_six_replies(&lines);
+    }
+
+    #[test]
+    fn requests_pipelined_in_one_segment_are_answered_in_order() {
+        let (_eng, server) = hundred_values();
+        let front = TcpFront::bind(server.client(), "127.0.0.1:0").expect("bind");
+        let mut stream = TcpStream::connect(front.local_addr()).expect("connect");
+        stream.write_all(SIX_REQUESTS.as_bytes()).expect("send");
+        let mut reader = BufReader::new(stream);
+        let replies: Vec<String> = (0..6)
+            .map(|_| {
+                let mut reply = String::new();
+                reader.read_line(&mut reply).expect("reply");
+                reply.trim_end().to_string()
+            })
+            .collect();
+        assert_six_replies(&replies);
+    }
+
+    #[test]
+    fn sequential_round_trips_do_not_wait_for_a_delayed_ack() {
+        let (_eng, server) = hundred_values();
+        let front = TcpFront::bind(server.client(), "127.0.0.1:0").expect("bind");
+        // A client that leaves Nagle on and ACKs lazily, like `nc`: a reply
+        // sent in two segments would cost it 40 ms per request.
+        let mut stream = TcpStream::connect(front.local_addr()).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        let started = Instant::now();
+        for _ in 0..50 {
+            stream.write_all(b"quantile 0 0.5\n").expect("send");
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("reply");
+            assert!(reply.starts_with("answer "), "{reply}");
+        }
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "50 round trips took {took:?}"
+        );
+    }
+
+    #[test]
+    fn an_endless_line_is_refused_and_the_front_keeps_serving() {
+        let (_eng, server) = hundred_values();
+        let front = TcpFront::bind(server.client(), "127.0.0.1:0").expect("bind");
+        let addr = front.local_addr();
+
+        let mut hostile = TcpStream::connect(addr).expect("connect");
+        hostile
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("set timeout");
+        // 1 MiB and no newline. The server hangs up a little past 4 KiB,
+        // after which a send fails: that is the point.
+        let block = [b'a'; 4096];
+        for _ in 0..256 {
+            if hostile.write_all(&block).is_err() {
+                break;
+            }
+        }
+        let mut answer = String::new();
+        let mut reader = BufReader::new(hostile);
+        reader.read_line(&mut answer).expect("the refusal arrives");
+        assert_eq!(answer, "err line too long\n");
+        // The handler has returned: nothing follows but the end of the
+        // stream (or a reset, the server having closed on unread input).
+        let mut rest = Vec::new();
+        assert!(matches!(reader.read_to_end(&mut rest), Ok(0) | Err(_)));
+
+        let replies = call(addr, &["epoch", "quantile 0 0.5"]);
+        assert!(replies[0].starts_with("epoch "), "{}", replies[0]);
+        assert!(replies[1].starts_with("answer "), "{}", replies[1]);
+
+        // The cap is on the line, not the connection: many short lines are
+        // fine, and a terminated line over the cap is refused like an
+        // endless one.
+        let mut wire = ScriptedWire::default();
+        for _ in 0..1000 {
+            wire.input.extend_from_slice(b"epoch\n");
+        }
+        wire.input.extend_from_slice(&[b'a'; MAX_LINE + 1]);
+        wire.input.extend_from_slice(b"\nepoch\n");
+        serve_connection(&mut wire, &server.client(), &AtomicBool::new(false));
+        assert_eq!(wire.writes.len(), 1001);
+        assert_eq!(wire.writes[1000], b"err line too long\n");
+    }
+
+    #[test]
+    fn finished_handlers_are_reaped() {
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let mut handlers = vec![
+            thread::spawn(|| {}),
+            thread::spawn(move || gate.recv().unwrap_or(())),
+            thread::spawn(|| {}),
+        ];
+        while !(handlers[0].is_finished() && handlers[2].is_finished()) {
+            thread::yield_now();
+        }
+        reap_finished(&mut handlers);
+        assert_eq!(handlers.len(), 1, "the open connection's handler stays");
+        drop(release);
+        handlers.pop().expect("one left").join().expect("handler");
+    }
 
     fn call(addr: SocketAddr, lines: &[&str]) -> Vec<String> {
         let mut stream = TcpStream::connect(addr).expect("connect");

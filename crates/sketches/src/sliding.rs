@@ -162,28 +162,28 @@ impl SlidingQuantile {
     /// Panics if no block has been pushed.
     pub fn query(&mut self, phi: f64) -> f32 {
         let mut ops = self.ops;
-        let answer = self.query_with(phi, &mut ops);
+        let answer = self.merged(&mut ops).query(phi);
         self.ops = ops;
         answer
     }
 
-    /// Answers a φ-quantile query **without mutating the summary** — the
-    /// merge work is charged to a throwaway counter instead of
-    /// [`Self::ops`]. This is the *frozen* form used by immutable published
-    /// snapshots (the serving layer answers many concurrent reads against
-    /// one shared summary): the returned value is byte-identical to
-    /// [`Self::query`] on the same state.
+    /// Merges the live blocks into one summary (no pruning — no extra
+    /// error) **without mutating this one**: the merge work is charged to
+    /// a throwaway counter instead of [`Self::ops`]. This is the *frozen*
+    /// form behind immutable published snapshots, which merge once and
+    /// answer many reads from the result: `snapshot().query(phi)` is
+    /// byte-identical to [`Self::query`] on the same state.
     ///
     /// # Panics
     ///
     /// Panics if no block has been pushed.
-    pub fn query_frozen(&self, phi: f64) -> f32 {
-        self.query_with(phi, &mut OpCounter::default())
+    pub fn snapshot(&self) -> WindowSummary {
+        self.merged(&mut OpCounter::default())
     }
 
-    /// The shared query path: balanced-tree merge of the live blocks,
-    /// charging merge work to `ops`.
-    fn query_with(&self, phi: f64, ops: &mut OpCounter) -> f32 {
+    /// Balanced-tree merge of the live blocks, charging merge work to
+    /// `ops`.
+    fn merged(&self, ops: &mut OpCounter) -> WindowSummary {
         assert!(
             !self.deque.is_empty(),
             "cannot query an empty sliding window"
@@ -199,7 +199,7 @@ impl SlidingQuantile {
                 })
                 .collect();
         }
-        layer[0].query(phi)
+        layer.swap_remove(0)
     }
 }
 
@@ -358,22 +358,32 @@ impl SlidingFrequency {
             s > self.eps && s <= 1.0,
             "support must satisfy eps < s <= 1"
         );
-        let mut totals: Vec<(f32, u64)> = Vec::new();
-        let mut values: Vec<f32> = self
-            .deque
-            .iter()
-            .flat_map(|b| b.entries.iter().map(|&(v, _)| v))
-            .collect();
-        values.sort_by(f32::total_cmp);
-        values.dedup();
+        // One gather, one sort, one run-sum: a run of `total_cmp`-equal
+        // (bit-equal) values sums to exactly what `estimate` finds block by
+        // block.
+        let mut entries: Vec<(f32, u64)> = Vec::with_capacity(self.entry_count());
+        entries.extend(self.deque.iter().flat_map(|b| &b.entries));
+        entries.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
         let threshold = (s - self.eps) * self.width as f64;
-        for v in values {
-            let c = self.estimate(v);
-            if c as f64 >= threshold {
-                totals.push((v, c));
+        let mut hits: Vec<(f32, u64)> = Vec::new();
+        let mut prev: Option<f32> = None;
+        let mut rest = entries.as_slice();
+        while let Some(&(v, _)) = rest.first() {
+            let run = rest
+                .iter()
+                .take_while(|e| e.0.to_bits() == v.to_bits())
+                .count();
+            let c: u64 = rest[..run].iter().map(|e| e.1).sum();
+            // Distinct values are distinct under `==`: where blocks hold
+            // both zeros, `-0.0` (sorted first) answers with its own count
+            // and `0.0` is not reported.
+            if prev != Some(v) && c as f64 >= threshold {
+                hits.push((v, c));
             }
+            prev = Some(v);
+            rest = &rest[run..];
         }
-        totals
+        hits
     }
 }
 
@@ -410,16 +420,16 @@ mod tests {
     }
 
     #[test]
-    fn query_frozen_matches_query_and_leaves_state_untouched() {
+    fn snapshot_answers_as_query_does_and_leaves_state_untouched() {
         let mut rng = StdRng::seed_from_u64(7);
         let data: Vec<f32> = (0..8_000).map(|_| rng.random_range(0.0..1.0)).collect();
         let mut sq = SlidingQuantile::new(0.05, 3000);
         feed_quantile(&mut sq, &data);
         let before = serde_json::to_string(&sq).unwrap();
+        let frozen = sq.snapshot();
         for phi in [0.01, 0.25, 0.5, 0.75, 0.99] {
-            let frozen = sq.query_frozen(phi);
             assert_eq!(
-                frozen.to_bits(),
+                frozen.query(phi).to_bits(),
                 sq.clone().query(phi).to_bits(),
                 "frozen answer must be byte-identical at phi={phi}"
             );
@@ -427,7 +437,7 @@ mod tests {
         assert_eq!(
             serde_json::to_string(&sq).unwrap(),
             before,
-            "query_frozen must not mutate the summary"
+            "snapshot must not mutate the summary"
         );
     }
 
@@ -545,6 +555,78 @@ mod tests {
         for (v, _) in truth {
             assert!(answer.contains(&v), "missing heavy hitter {v}");
         }
+    }
+
+    /// What `heavy_hitters` computed before it became one sort and one
+    /// run-sum: the distinct stored values (`dedup`, so under `==`), each
+    /// looked up block by block through [`SlidingFrequency::estimate`].
+    fn heavy_hitters_by_estimate(sf: &SlidingFrequency, s: f64) -> Vec<(f32, u64)> {
+        let mut values: Vec<f32> = sf
+            .deque
+            .iter()
+            .flat_map(|b| b.entries.iter().map(|&(v, _)| v))
+            .collect();
+        values.sort_by(f32::total_cmp);
+        values.dedup();
+        let threshold = (s - sf.eps) * sf.width as f64;
+        values
+            .into_iter()
+            .map(|v| (v, sf.estimate(v)))
+            .filter(|&(_, c)| c as f64 >= threshold)
+            .collect()
+    }
+
+    #[test]
+    fn heavy_hitters_equal_the_per_value_estimates() {
+        let bits = |hits: Vec<(f32, u64)>| -> Vec<(u32, u64)> {
+            hits.into_iter().map(|(v, c)| (v.to_bits(), c)).collect()
+        };
+        let mut rng = StdRng::seed_from_u64(13);
+        let n = 30_000;
+        let zipf: Vec<f32> = (0..n)
+            .map(|_| (1.0 / rng.random_range(0.0005f32..1.0)).floor())
+            .collect();
+        let duplicates = vec![7.0f32; n];
+        // Both zeros, by stretches and mixed: a sorted block keeps a run of
+        // zeros under whichever sign came first, so blocks disagree.
+        let zeros: Vec<f32> = (0..n)
+            .map(|i| match (i / 500 % 3, rng.random_range(0..4)) {
+                (0, _) | (2, 0) => 0.0,
+                (1, _) | (2, 1) => -0.0,
+                _ => rng.random_range(-2..3) as f32,
+            })
+            .collect();
+        for (name, data) in [
+            ("zipf", &zipf),
+            ("duplicates", &duplicates),
+            ("zeros", &zeros),
+        ] {
+            for (eps, width) in [(0.01, 20_000), (0.05, 2_000), (0.1, 400), (0.002, 25_000)] {
+                let mut sf = SlidingFrequency::new(eps, width);
+                feed_frequency(&mut sf, data);
+                for s in [eps * 1.01, 2.0 * eps, 0.3, 1.0] {
+                    let hits = sf.heavy_hitters(s);
+                    assert_eq!(
+                        bits(hits.clone()),
+                        bits(heavy_hitters_by_estimate(&sf, s)),
+                        "{name} eps={eps} width={width} s={s}"
+                    );
+                    if name == "duplicates" && s < 1.0 {
+                        assert_eq!(hits.len(), 1, "{name} eps={eps} width={width} s={s}");
+                    }
+                }
+            }
+        }
+        // The zeros stream must have exercised what it is there for.
+        let mut sf = SlidingFrequency::new(0.05, 2_000);
+        feed_frequency(&mut sf, &zeros);
+        let stored = |z: f32| {
+            sf.deque
+                .iter()
+                .flat_map(|b| &b.entries)
+                .any(|e| e.0.to_bits() == z.to_bits())
+        };
+        assert!(stored(0.0) && stored(-0.0), "both zeros are stored");
     }
 
     #[test]

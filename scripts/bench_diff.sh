@@ -60,9 +60,6 @@ def throughputs(name, doc):
         elif name == "shard":
             for run in doc["runs"]:
                 out[f"k={run['shards']} ingest"] = float(run["throughput_eps"])
-        elif name == "serve":
-            out["server-off ingest"] = float(doc["ingest_off_eps"])
-            out["server-on ingest"] = float(doc["ingest_on_eps"])
         elif name == "obs_overhead":
             out["recorder-off ingest"] = float(doc["ingest_off_eps"])
             out["recorder-on ingest"] = float(doc["ingest_on_eps"])
@@ -78,7 +75,7 @@ def throughputs(name, doc):
     return out
 
 
-for name in ("overlap", "shard", "serve", "obs_overhead", "recovery"):
+for name in ("overlap", "shard", "obs_overhead", "recovery"):
     base_path = results / f"BENCH_{name}.json"
     ci_path = results / f"BENCH_{name}_ci.json"
     if not ci_path.exists():
